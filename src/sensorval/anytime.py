@@ -49,24 +49,44 @@ def conditional_average_entropy(iso: IsolationNet,
     return total
 
 
+# Scores this close count as tied: symmetric sensors must not be ordered
+# by rounding.
+TIE_TOLERANCE = 1e-12
+# Entries a network's selection memo holds before it is cleared.
+SELECT_MEMO_CAP = 1 << 14
+
+
 def select_next_sensor(iso: IsolationNet, findings: Mapping[str, str],
                        unvalidated: Iterable[str]) -> str:
     """The unvalidated sensor of minimum conditional average entropy;
-    ties break lexicographically."""
+    scores within TIE_TOLERANCE of the minimum tie, and ties break
+    lexicographically.
+
+    The choice is a function of the findings and the candidates alone, so it
+    is memoised on the network's compiled form, keyed by bitmasks.
+    """
     candidates = sorted(unvalidated)
     if not candidates:
         raise ValueError("no unvalidated sensors left")
-    return min(candidates,
-               key=lambda s: (conditional_average_entropy(iso, findings, s), s))
+    net = iso.compiled
+    key = (*net.finding_masks(findings), net.mask(candidates))
+    memo = net.select_memo
+    choice = memo.get(key)
+    if choice is None:
+        scores = [conditional_average_entropy(iso, findings, s)
+                  for s in candidates]
+        best = min(scores)
+        choice = next(s for s, v in zip(candidates, scores)
+                      if v - best <= TIE_TOLERANCE)
+        if len(memo) >= SELECT_MEMO_CAP:
+            memo.clear()
+        memo[key] = choice
+    return choice
 
 
 def quality(pf: Mapping[str, float]) -> float:
     """Normalized certainty: 0 at all-0.5 beliefs, 1 at all-certain beliefs."""
-    n = len(pf)
-    if n == 0:
-        raise ValueError("empty fault-probability vector")
-    current = sum(binary_entropy(p) for p in pf.values())
-    return (n - current) / n
+    return 1.0 - average_entropy(pf)
 
 
 # --- decision trees ---------------------------------------------------------
@@ -206,7 +226,7 @@ class StepRecord:
     status: str
     pf: dict
     quality: float
-    elapsed_ms: float
+    elapsed_ms: float      # library time in this cycle up to this step
 
     def to_json(self) -> str:
         return json.dumps({
@@ -217,9 +237,6 @@ class StepRecord:
             "quality": self.quality,
             "elapsed_ms": self.elapsed_ms,
         })
-
-
-QualityTrace = list
 
 
 def run_anytime_validation(
@@ -237,7 +254,9 @@ def run_anytime_validation(
     on-line entropy selection (or the supplied ``selector``). A pruned-tree
     path that ends early terminates the cycle with the last beliefs standing.
     """
-    start = time.perf_counter()
+    # elapsed_ms counts library time only: the clock stops at each yield
+    busy = 0.0
+    resumed = time.perf_counter()
     findings: dict[str, str] = {}
     unvalidated = set(iso.sensors)
     node = tree.root if tree is not None else None
@@ -255,14 +274,17 @@ def run_anytime_validation(
         findings[sensor] = FAULTY if status.faulty else CORRECT
         unvalidated.discard(sensor)
         pf = fault_belief(iso, findings)
+        q = quality(pf)
         step += 1
+        busy += time.perf_counter() - resumed
         yield StepRecord(
             step=step,
             sensor=sensor,
             status=findings[sensor],
             pf=pf,
-            quality=quality(pf),
-            elapsed_ms=(time.perf_counter() - start) * 1000.0,
+            quality=q,
+            elapsed_ms=busy * 1000.0,
         )
+        resumed = time.perf_counter()
         if tree is not None:
             node = node.faulty if status.faulty else node.ok

@@ -13,9 +13,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .anytime import (DecisionTree, StepRecord, quality, run_anytime_validation,
-                      select_next_sensor)
-from .detection import DetectionCriterion, Discretizer, validate_sensor
+from .anytime import DecisionTree, StepRecord, run_anytime_validation
+from .detection import DetectionCriterion, Discretizer
 from .isolation import IsolationNet, declare_faults, fault_belief
 from .model import BayesNet, Cpt, NetworkStructure, Variable
 

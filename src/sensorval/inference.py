@@ -2,8 +2,9 @@
 
 Two routes to the same numbers: variable elimination with a min-fill
 ordering (the fast path) and full joint enumeration (the testing oracle).
-Also provides the noisy-OR conditional model and a specialized exact
-solver for two-layer noisy-OR networks with evidence on the leaves.
+Also provides the noisy-OR conditional model and the per-target
+elimination that the isolation network's solver falls back on for large
+coupled components.
 """
 
 from __future__ import annotations
@@ -124,6 +125,48 @@ def _drop_barren(net: BayesNet, keep: set[str]) -> list[str]:
     return [n for n in net.names() if n in alive]
 
 
+def _sum_out(factors: list[_Factor], eliminate: set) -> list[_Factor]:
+    """Sum every variable in ``eliminate`` out of the factor product, in
+    min-fill order."""
+    for name in _min_fill_order(factors, eliminate):
+        related = [f for f in factors if name in f.vars]
+        if not related:
+            continue
+        product = related[0]
+        for f in related[1:]:
+            product = product.multiply(f)
+        factors = [f for f in factors if name not in f.vars]
+        factors.append(product.marginalize(name))
+    return factors
+
+
+def _product(factors: Sequence[_Factor]) -> _Factor:
+    result = _Factor((), np.array(1.0))
+    for f in factors:
+        result = result.multiply(f)
+    return result
+
+
+def factor_marginals(factors: Sequence[tuple[tuple, np.ndarray]],
+                     targets: Sequence) -> dict:
+    """Normalized marginal of each target under the product of ``factors``,
+    given as (variable tuple, value array) pairs, by one variable
+    elimination per target.
+
+    Raises InconsistentEvidenceError when the product sums to zero.
+    """
+    factors = [_Factor(tuple(v), np.asarray(values)) for v, values in factors]
+    names = {v for f in factors for v in f.vars}
+    result = {}
+    for target in targets:
+        values = _product(_sum_out(factors, names - {target})).values
+        z = values.sum()
+        if z <= _EVIDENCE_EPS:
+            raise InconsistentEvidenceError("findings have probability zero")
+        result[target] = values / z
+    return result
+
+
 def posterior_marginal(net: BayesNet, evidence: Mapping[str, str],
                        target: str) -> Distribution:
     """Exact P(target | evidence) by variable elimination.
@@ -144,18 +187,7 @@ def posterior_marginal(net: BayesNet, evidence: Mapping[str, str],
                 f = f.reduce(ev_name, idx)
         factors.append(f)
     eliminate = {n for n in alive if n != target and n not in ev_idx}
-    for name in _min_fill_order(factors, eliminate):
-        related = [f for f in factors if name in f.vars]
-        if not related:
-            continue
-        product = related[0]
-        for f in related[1:]:
-            product = product.multiply(f)
-        factors = [f for f in factors if name not in f.vars]
-        factors.append(product.marginalize(name))
-    result = _Factor((), np.array(1.0))
-    for f in factors:
-        result = result.multiply(f)
+    result = _product(_sum_out(factors, eliminate))
     if result.vars != (target,):
         result = _Factor((target,), result.values.reshape(net.cardinality(target)))
     total = result.values.sum()
@@ -231,131 +263,3 @@ def noisy_or_row(params: NoisyOrParams, effect: str,
         if assignment[cause]:
             prod_q *= params.q(cause, effect)
     return 1.0 - prod_q
-
-
-def _component_marginals_ve(members, couplings, unary, log_q):
-    """Exact per-root marginals of one coupled component by variable
-    elimination over binary root variables."""
-    factors = [_Factor((i,), np.array(unary[i])) for i in members]
-    for j, causes in couplings:
-        shape = (2,) * len(causes)
-        values = np.ones(shape)
-        for code in range(2 ** len(causes)):
-            s = 0.0
-            for k in range(len(causes)):
-                if (code >> k) & 1:
-                    s += log_q[(causes[k], j)]
-            idx = tuple((code >> k) & 1 for k in range(len(causes)))
-            values[idx] = 1.0 - np.exp(s)
-        factors.append(_Factor(tuple(causes), values))
-    result = {}
-    for target in members:
-        work = list(factors)
-        for name in _min_fill_order(work, set(members) - {target}):
-            related = [f for f in work if name in f.vars]
-            if not related:
-                continue
-            product = related[0]
-            for f in related[1:]:
-                product = product.multiply(f)
-            work = [f for f in work if name not in f.vars]
-            work.append(product.marginalize(name))
-        total = _Factor((), np.array(1.0))
-        for f in work:
-            total = total.multiply(f)
-        values = total.values.reshape(2)
-        z = values.sum()
-        if z <= _EVIDENCE_EPS:
-            raise InconsistentEvidenceError("findings have probability zero")
-        result[target] = float(values[1] / z)
-    return result
-
-
-def noisy_or_root_posteriors(
-    roots: Sequence[str],
-    parents_of: Mapping[str, Sequence[str]],
-    params: NoisyOrParams,
-    priors: Mapping[str, float],
-    findings: Mapping[str, bool],
-    enumeration_limit: int = 2 ** 16,
-) -> dict[str, float]:
-    """Exact P(root active | leaf findings) for a two-layer noisy-OR network.
-
-    ``findings`` maps effect name -> observed truth value. Inactive-effect
-    observations factorize into per-root weights; each active-effect
-    observation couples its parent set. Coupled components are summed out
-    by vectorized enumeration while small, by variable elimination beyond
-    the enumeration limit.
-    """
-    log_q = {}
-    for j, causes in parents_of.items():
-        for i in causes:
-            log_q[(i, j)] = np.log(max(params.q(i, j), 1e-300))
-
-    # Per-root weight for the "active" state from inactive-effect findings.
-    active_logw = {i: 0.0 for i in roots}
-    coupling = []
-    for j, observed in findings.items():
-        if observed:
-            coupling.append((j, tuple(parents_of[j])))
-        else:
-            for i in parents_of[j]:
-                active_logw[i] += log_q[(i, j)]
-
-    # Union coupled components over active-effect parent sets.
-    comp = {i: i for i in roots}
-
-    def find(x):
-        while comp[x] != x:
-            comp[x] = comp[comp[x]]
-            x = comp[x]
-        return x
-
-    for _, causes in coupling:
-        anchor = find(causes[0])
-        for i in causes[1:]:
-            comp[find(i)] = anchor
-
-    groups: dict[str, list[str]] = {}
-    for i in roots:
-        groups.setdefault(find(i), []).append(i)
-    factors_by_group: dict[str, list[tuple[str, tuple[str, ...]]]] = {g: [] for g in groups}
-    for j, causes in coupling:
-        factors_by_group[find(causes[0])].append((j, causes))
-
-    result = {}
-    for anchor, members in groups.items():
-        couplings = factors_by_group[anchor]
-        if not couplings:
-            for i in members:
-                pi = priors[i]
-                w1 = pi * np.exp(active_logw[i])
-                result[i] = float(w1 / (w1 + (1.0 - pi)))
-            continue
-        k = len(members)
-        if 2 ** k > enumeration_limit:
-            unary = {i: [1.0 - priors[i], priors[i] * np.exp(active_logw[i])]
-                     for i in members}
-            result.update(_component_marginals_ve(members, couplings,
-                                                  unary, log_q))
-            continue
-        pos = {i: n for n, i in enumerate(members)}
-        bits = (np.arange(2 ** k)[:, None] >> np.arange(k)[None, :]) & 1
-        logw = bits.astype(float) @ np.array(
-            [np.log(max(priors[i], 1e-300)) + active_logw[i] for i in members]
-        )
-        logw += (1 - bits).astype(float) @ np.array(
-            [np.log(max(1.0 - priors[i], 1e-300)) for i in members]
-        )
-        weights = np.exp(logw - logw.max())
-        for j, causes in couplings:
-            s = bits[:, [pos[i] for i in causes]].astype(float) @ np.array(
-                [log_q[(i, j)] for i in causes]
-            )
-            weights = weights * (1.0 - np.exp(s))
-        total = weights.sum()
-        if total <= _EVIDENCE_EPS:
-            raise InconsistentEvidenceError("findings have probability zero")
-        for i in members:
-            result[i] = float((weights * bits[:, pos[i]]).sum() / total)
-    return result

@@ -4,16 +4,22 @@ Roots R_i (one per sensor, binary fault/ok) point at leaves A_j (binary
 faulty/correct) for every j in EMB(i); leaf conditionals are noisy-OR.
 Validation outcomes enter as hard evidence on the leaves and the root
 posteriors form the fault-probability vector refined step by step.
+
+Each network is compiled once, on first use, into arrays that the exact
+solver reads; findings are passed to it as bitmasks over the sensors.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Mapping
+from functools import cached_property
+from typing import Iterable, Mapping
 
 import numpy as np
 
-from .inference import NoisyOrParams, noisy_or_root_posteriors, noisy_or_row
+from .inference import (InconsistentEvidenceError, NoisyOrParams,
+                        factor_marginals, noisy_or_row)
 from .model import BayesNet, Cpt, EmbTable, Variable
 
 FAULT, OK = "fault", "ok"
@@ -21,6 +27,7 @@ FAULTY, CORRECT = "faulty", "correct"
 
 DEFAULT_LINK_STRENGTH = 0.99
 DEFAULT_PRIOR = 0.5
+_TINY = 1e-300                 # evidence at or below this has probability zero
 
 
 def root_name(sensor: str) -> str:
@@ -33,13 +40,21 @@ def apparent_name(sensor: str) -> str:
 
 @dataclass(frozen=True)
 class IsolationNet:
-    """The bipartite fault-isolation network derived from an EMB table."""
+    """The bipartite fault-isolation network derived from an EMB table.
+
+    Compiled into arrays on first use (``compiled``), so its dict fields
+    must not be mutated afterwards; build a new network instead.
+    """
 
     sensors: tuple[str, ...]
     parents_of: dict                   # apparent sensor -> tuple of root sensors
     params: NoisyOrParams
     priors: dict                       # sensor -> prior fault probability
     emb: EmbTable = field(repr=False, default=None)
+
+    @cached_property
+    def compiled(self) -> "CompiledIsolation":
+        return CompiledIsolation(self)
 
     def to_bayes_net(self) -> BayesNet:
         """Expand the noisy-OR conditionals into an explicit BayesNet."""
@@ -97,6 +112,8 @@ def build_isolation_network(
         for key, value in link_overrides.items():
             if key not in strengths:
                 raise KeyError(f"no EMB arc for link override {key!r}")
+            if not (0.0 < value < 1.0):
+                raise ValueError(f"link override {key!r} must lie in (0, 1)")
             strengths[key] = float(value)
     return IsolationNet(
         sensors=sensors,
@@ -107,20 +124,143 @@ def build_isolation_network(
     )
 
 
+class CompiledIsolation:
+    """An IsolationNet as arrays, indexed by position in ``iso.sensors``.
+
+    ``log_q[i, j]`` is log(1 - c_ij) for a link i -> j and 0 where there is
+    none; ``log_odds[i]`` is log(prior / (1 - prior)); ``parents[j]`` lists
+    the causes of apparent fault j. Sets of sensors are int bitmasks with
+    bit i for ``iso.sensors[i]``. ``select_memo`` belongs to
+    ``anytime.select_next_sensor``, which memoises its choices there.
+    """
+
+    __slots__ = ("bit", "prior", "log_odds", "log_q", "parents",
+                 "parent_mask", "select_memo")
+
+    def __init__(self, iso: IsolationNet):
+        self.bit = {s: 1 << i for i, s in enumerate(iso.sensors)}
+        index = {s: i for i, s in enumerate(iso.sensors)}
+        self.prior = np.array([iso.priors[s] for s in iso.sensors])
+        self.log_odds = np.log(self.prior) - np.log1p(-self.prior)
+        self.log_q = np.zeros((len(index), len(index)))
+        self.parents = []
+        self.parent_mask = []
+        for j in iso.sensors:
+            causes = [index[i] for i in iso.parents_of[j]]
+            for i, cause in zip(causes, iso.parents_of[j]):
+                c = iso.params.c(cause, j)
+                # a certain link (c = 1) keeps a finite floor
+                self.log_q[i, index[j]] = (math.log1p(-c) if c < 1.0
+                                           else math.log(_TINY))
+            self.parents.append(causes)
+            self.parent_mask.append(sum(1 << i for i in causes))
+        self.select_memo = {}
+
+    def mask(self, sensors: Iterable[str]) -> int:
+        out = 0
+        for s in sensors:
+            try:
+                out |= self.bit[s]
+            except KeyError:
+                raise KeyError(f"unknown sensor {s!r}") from None
+        return out
+
+    def finding_masks(self, findings: Mapping[str, str]) -> tuple[int, int]:
+        """(faulty, correct) bitmasks of sensor -> "faulty"/"correct" findings."""
+        faulty = correct = 0
+        for sensor, status in findings.items():
+            bit = self.bit.get(sensor)
+            if bit is None:
+                raise KeyError(f"finding for unknown sensor {sensor!r}")
+            if status == FAULTY:
+                faulty |= bit
+            elif status == CORRECT:
+                correct |= bit
+            else:
+                raise ValueError(f"finding for {sensor!r} must be faulty/correct")
+        return faulty, correct
+
+
+def _indices(mask: int) -> list[int]:
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def _bit_table(k: int) -> np.ndarray:
+    """All 2**k assignments of k binary roots; row r holds the bits of r."""
+    return ((np.arange(2 ** k)[:, None] >> np.arange(k)) & 1).astype(float)
+
+
+_BIT_TABLES = [_bit_table(k) for k in range(11)]
+
+
+def noisy_or_root_posteriors(net: CompiledIsolation, faulty: int, correct: int,
+                             enumeration_limit: int = 2 ** 16) -> np.ndarray:
+    """Exact P(root active | leaf findings), in the network's sensor order.
+
+    ``faulty`` and ``correct`` are bitmasks of the observed apparent
+    statuses. Correct findings factorize into per-root weights; each faulty
+    finding couples its parent set. Coupled components are summed out by
+    vectorized enumeration while small, by variable elimination beyond the
+    enumeration limit. 1 - prod q is taken as -expm1(sum log q) so weak
+    links keep their precision.
+    """
+    # each root's weight for "active", relative to its prior
+    active_log = net.log_q[:, _indices(correct)].sum(axis=1)
+    w1 = net.prior * np.exp(active_log)
+    post = w1 / (w1 + (1.0 - net.prior))
+
+    components = []                         # (root mask, faulty effects)
+    for j in _indices(faulty):
+        roots, effects, rest = net.parent_mask[j], [j], []
+        for comp in components:
+            if comp[0] & roots:
+                roots |= comp[0]
+                effects += comp[1]
+            else:
+                rest.append(comp)
+        components = rest + [(roots, effects)]
+
+    unary_log = net.log_odds + active_log
+    for roots, effects in components:
+        members = _indices(roots)
+        k = len(members)
+        if 2 ** k > enumeration_limit:
+            post[members] = _component_marginals_ve(net, members, effects, w1)
+            continue
+        bits = _BIT_TABLES[k] if k < len(_BIT_TABLES) else _bit_table(k)
+        logw = bits @ unary_log[members]
+        weights = np.exp(logw - logw.max())
+        weights *= (-np.expm1(bits @ net.log_q[members][:, effects])).prod(axis=1)
+        total = weights.sum()
+        if total <= _TINY:
+            raise InconsistentEvidenceError("findings have probability zero")
+        post[members] = (weights @ bits) / total
+    return post
+
+
+def _component_marginals_ve(net, members, effects, w1) -> np.ndarray:
+    """Exact per-root marginals of one coupled component by variable
+    elimination over binary root variables."""
+    factors = [((i,), np.array([1.0 - net.prior[i], w1[i]])) for i in members]
+    for j in effects:
+        causes = net.parents[j]
+        s = _bit_table(len(causes)) @ net.log_q[causes, j]
+        # row r of the bit table sets cause k to bit k of r, so in C order
+        # the last cause is the first axis
+        factors.append((tuple(reversed(causes)),
+                        (-np.expm1(s)).reshape((2,) * len(causes))))
+    marginals = factor_marginals(factors, members)
+    return np.array([marginals[i][1] for i in members])
+
+
 def fault_belief(iso: IsolationNet, findings: Mapping[str, str]) -> dict[str, float]:
     """P(R_i = fault | findings) for every sensor, recomputed from scratch.
 
     ``findings`` maps sensor -> "faulty"/"correct" apparent status.
     """
-    observed = {}
-    for sensor, status in findings.items():
-        if sensor not in iso.parents_of:
-            raise KeyError(f"finding for unknown sensor {sensor!r}")
-        if status not in (FAULTY, CORRECT):
-            raise ValueError(f"finding for {sensor!r} must be faulty/correct")
-        observed[sensor] = status == FAULTY
-    return noisy_or_root_posteriors(
-        iso.sensors, iso.parents_of, iso.params, iso.priors, observed)
+    net = iso.compiled
+    post = noisy_or_root_posteriors(net, *net.finding_masks(findings))
+    return dict(zip(iso.sensors, post.tolist()))
 
 
 def declare_faults(pf: Mapping[str, float], threshold: float) -> frozenset[str]:

@@ -1,11 +1,13 @@
 import itertools
 import json
 import math
+import time
 
 import numpy as np
 import pytest
 
 import sensorval as sv
+from sensorval import anytime
 from sensorval.anytime import TreeNode
 from sensorval.isolation import CORRECT, FAULTY
 from conftest import REFERENCE_EMB, random_emb_table
@@ -93,9 +95,24 @@ class TestSelectNextSensor:
             {"b": {"b", "z"}, "z": {"b", "z"}}))
         assert sv.select_next_sensor(iso, {}, {"z", "b"}) == "b"
 
+    def test_symmetric_pair_ties_by_name(self, ref_iso):
+        # a and g are symmetric in the reference net; their scores differ
+        # only by rounding, so the name decides
+        for findings in ({"p": CORRECT, "t": FAULTY},
+                         {"m": CORRECT, "p": CORRECT, "t": CORRECT}):
+            rest = set(ref_iso.sensors) - set(findings)
+            a = sv.conditional_average_entropy(ref_iso, findings, "a")
+            g = sv.conditional_average_entropy(ref_iso, findings, "g")
+            assert a == pytest.approx(g, abs=1e-12)
+            assert sv.select_next_sensor(ref_iso, findings, rest) == "a"
+
     def test_empty_pool(self, ref_iso):
         with pytest.raises(ValueError):
             sv.select_next_sensor(ref_iso, {}, set())
+
+    def test_unknown_candidate(self, ref_iso):
+        with pytest.raises(KeyError, match="unknown sensor"):
+            sv.select_next_sensor(ref_iso, {}, {"t", "zz"})
 
     def test_argmin_invariant_under_positive_scaling(self, ref_iso):
         values = {s: sv.conditional_average_entropy(ref_iso, {}, s)
@@ -104,6 +121,63 @@ class TestSelectNextSensor:
         for scale in (0.1, 7.0, 1e6):
             scaled = {s: scale * v for s, v in values.items()}
             assert min(sorted(scaled), key=lambda s: (scaled[s], s)) == pick
+
+
+def reference_states(min_candidates=2):
+    """Every (findings, candidates) state of the reference net with at
+    least ``min_candidates`` sensors left to validate."""
+    sensors = sorted(REFERENCE_EMB)
+    for k in range(len(sensors) - min_candidates + 1):
+        for chosen in itertools.combinations(sensors, k):
+            for statuses in itertools.product((CORRECT, FAULTY), repeat=k):
+                yield (dict(zip(chosen, statuses)),
+                       set(sensors) - set(chosen))
+
+
+class TestSelectionMemo:
+    def build(self, **kwargs):
+        return sv.build_isolation_network(sv.EmbTable(REFERENCE_EMB), **kwargs)
+
+    def test_warmed_network_picks_what_a_fresh_one_picks(self):
+        warmed = self.build()
+        states = list(reference_states())
+        assert len(states) == 131
+        for findings, rest in states:
+            sv.select_next_sensor(warmed, findings, rest)
+        assert len(warmed.compiled.select_memo) == len(states)
+        for findings, rest in states:
+            fresh = sv.select_next_sensor(self.build(), findings, rest)
+            assert sv.select_next_sensor(warmed, findings, rest) == fresh, \
+                findings
+
+    def test_memo_key_holds_the_candidates(self, ref_iso):
+        # the same findings with a smaller pool must not reuse the choice
+        assert sv.select_next_sensor(ref_iso, {}, set(ref_iso.sensors)) == "t"
+        assert sv.select_next_sensor(ref_iso, {}, {"p", "g"}) != "t"
+
+    def test_networks_differing_in_one_link_share_nothing(self):
+        base = self.build()
+        other = self.build(link_overrides={("t", "g"): 0.5})
+        for findings, rest in reference_states():
+            sv.select_next_sensor(base, findings, rest)
+        assert base.compiled is not other.compiled
+        assert other.compiled.select_memo == {}
+        assert not np.shares_memory(base.compiled.log_q, other.compiled.log_q)
+        for findings, rest in reference_states():
+            want = sv.select_next_sensor(
+                self.build(link_overrides={("t", "g"): 0.5}), findings, rest)
+            assert sv.select_next_sensor(other, findings, rest) == want
+
+    def test_cap_clears_the_memo(self, monkeypatch):
+        monkeypatch.setattr(anytime, "SELECT_MEMO_CAP", 3)
+        iso = self.build()
+        memo = iso.compiled.select_memo
+        states = list(reference_states())[:5]
+        sizes = []
+        for findings, rest in states:
+            sv.select_next_sensor(iso, findings, rest)
+            sizes.append(len(memo))
+        assert sizes == [1, 2, 3, 1, 2]
 
 
 class TestQuality:
@@ -270,6 +344,17 @@ class TestRunAnytimeValidation:
         assert set(first.pf) == set(ref.iso.sensors)
         assert 0.0 <= first.quality <= 1.0
         assert first.elapsed_ms >= 0.0
+
+    def test_elapsed_excludes_consumer_time(self, ref):
+        crit = sv.DetectionCriterion("sigma", 3.0)
+        records = []
+        for record in sv.run_anytime_validation(
+                ref.net, ref.discretizer, ref.iso, None, ref.test.row(10),
+                crit):
+            records.append(record)
+            time.sleep(0.1)
+        assert len(records) == 5
+        assert records[-1].elapsed_ms < 100.0
 
     def test_tree_traversal_matches_online(self, ref):
         crit = sv.DetectionCriterion("sigma", 3.0)

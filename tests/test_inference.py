@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 import sensorval as sv
-from sensorval.inference import NoisyOrParams, noisy_or_root_posteriors
-from sensorval.isolation import apparent_name, root_name
+from sensorval.inference import NoisyOrParams
+from sensorval.isolation import (IsolationNet, apparent_name,
+                                 noisy_or_root_posteriors, root_name)
 from conftest import random_binary_net, random_evidence
 
 
@@ -244,12 +245,13 @@ class TestNoisyOrPosteriors:
             parents_of[r] = tuple(pars)
             for p in pars:
                 strengths[(p, r)] = float(rng.uniform(0.3, 0.99))
-        params = NoisyOrParams(strengths)
         priors = {r: float(rng.uniform(0.2, 0.8)) for r in roots}
-        findings = {r: bool(rng.random() < 0.5) for r in roots}
-        enum = noisy_or_root_posteriors(roots, parents_of, params, priors,
-                                        findings, enumeration_limit=2 ** 20)
-        ve = noisy_or_root_posteriors(roots, parents_of, params, priors,
-                                      findings, enumeration_limit=2)
-        for r in roots:
-            assert enum[r] == pytest.approx(ve[r], abs=1e-9)
+        net = IsolationNet(tuple(roots), parents_of, NoisyOrParams(strengths),
+                           priors).compiled
+        faulty = net.mask(r for r in roots if rng.random() < 0.5)
+        correct = net.mask(roots) & ~faulty
+        enum = noisy_or_root_posteriors(net, faulty, correct,
+                                        enumeration_limit=2 ** 20)
+        ve = noisy_or_root_posteriors(net, faulty, correct,
+                                      enumeration_limit=2)
+        np.testing.assert_allclose(enum, ve, rtol=0, atol=1e-9)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import sensorval as sv
-from sensorval.isolation import root_name
+from sensorval.isolation import apparent_name, root_name
 from conftest import REFERENCE_EMB, WORKED_EXAMPLE_ROWS, random_emb_table
 
 
@@ -45,6 +45,10 @@ class TestBuild:
         with pytest.raises(KeyError, match="override"):
             sv.build_isolation_network(sv.EmbTable(REFERENCE_EMB),
                                        link_overrides={("p", "g"): 0.5})
+        for bad in (0.0, 1.0, 1.5):
+            with pytest.raises(ValueError, match="override"):
+                sv.build_isolation_network(sv.EmbTable(REFERENCE_EMB),
+                                           link_overrides={("t", "g"): bad})
 
     def test_expansion_matches_noisy_or_row(self, ref_iso):
         net = ref_iso.to_bayes_net()
@@ -104,18 +108,34 @@ class TestFaultBelief:
 
     def test_matches_brute_force_on_random_tables(self):
         rng = np.random.default_rng(31)
-        from sensorval.isolation import apparent_name
-        for _ in range(5):
+        for trial in range(8):
             emb = random_emb_table(rng, 6)
-            iso = sv.build_isolation_network(emb)
+            overrides = None
+            if trial % 2:
+                overrides = {(i, j): float(rng.uniform(0.02, 0.99))
+                             for i in sorted(emb) for j in sorted(emb[i])}
+            iso = sv.build_isolation_network(emb, link_overrides=overrides)
             net = iso.to_bayes_net()
-            findings = {s: ("faulty" if rng.random() < 0.5 else "correct")
-                        for s in iso.sensors if rng.random() < 0.8}
-            pf = sv.fault_belief(iso, findings)
-            ev = {apparent_name(s): st for s, st in findings.items()}
-            for s in iso.sensors:
-                want = sv.brute_force_posterior(net, ev, root_name(s))
-                assert pf[s] == pytest.approx(want.probabilities[1], abs=1e-9)
+            random_findings = {
+                s: ("faulty" if rng.random() < 0.5 else "correct")
+                for s in iso.sensors if rng.random() < 0.8}
+            all_faulty = {s: "faulty" for s in iso.sensors}
+            for findings in (random_findings, all_faulty):
+                pf = sv.fault_belief(iso, findings)
+                ev = {apparent_name(s): st for s, st in findings.items()}
+                for s in iso.sensors:
+                    want = sv.brute_force_posterior(net, ev, root_name(s))
+                    assert pf[s] == pytest.approx(want.probabilities[1],
+                                                  abs=1e-9)
+
+    @pytest.mark.parametrize("c", [1e-6, 1e-9, 1e-17])
+    def test_weak_links_keep_precision(self, c):
+        # one faulty finding on a symmetric pair: P(x) = (3 - c) / (4 - c)
+        iso = sv.build_isolation_network(
+            sv.EmbTable({"x": {"x", "y"}, "y": {"x", "y"}}), link_strength=c)
+        pf = sv.fault_belief(iso, {"x": "faulty"})
+        for s in ("x", "y"):
+            assert pf[s] == pytest.approx((3 - c) / (4 - c), abs=1e-14)
 
 
 class TestDeclareFaults:
