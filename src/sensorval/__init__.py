@@ -16,7 +16,7 @@ from .inference import (Distribution, InconsistentEvidenceError,
                         NoisyOrParams, brute_force_posterior, noisy_or_row,
                         posterior_marginal)
 from .detection import (ApparentStatus, DetectionCriterion, Discretizer,
-                        apply_criterion, discretize, discretizer_from_json,
+                        apply_criterion, discretizer_from_json,
                         discretizer_to_json, fit_discretizer,
                         posterior_moments, predict_distribution,
                         validate_sensor)

@@ -64,8 +64,7 @@ def cmd_learn(args) -> int:
     missing = [s for s in structure.sensors if s not in data.sensors]
     if missing:
         raise InputError(f"training data is missing columns {missing}")
-    disc = detection.fit_discretizer(list(data.rows()), structure.sensors,
-                                     bins=args.bins)
+    disc = detection.fit_discretizer(data, structure.sensors, bins=args.bins)
     net = harness.learn_parameters(structure, disc, data)
     Path(args.out).write_text(model.save_network(net))
     disc_path = args.discretizer or str(Path(args.out).with_suffix(".disc.json"))

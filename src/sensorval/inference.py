@@ -34,7 +34,7 @@ class Distribution:
     def __post_init__(self):
         p = np.asarray(self.probabilities, dtype=float)
         object.__setattr__(self, "probabilities", p)
-        if np.any(p < -1e-12) or abs(p.sum() - 1.0) > 1e-9:
+        if (p < -1e-12).any() or abs(p.sum() - 1.0) > 1e-9:
             raise ValueError(f"not a distribution over {self.name!r}: {p}")
 
 

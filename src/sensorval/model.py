@@ -3,7 +3,9 @@
 A network is a DAG over named discrete variables, one CPT per variable.
 CPT tables are dense: one row per parent assignment (mixed-radix order,
 first-listed parent varies slowest), one column per child state.
-Networks are immutable after construction and safe to share across threads.
+Networks are immutable after construction and safe to share across threads;
+the only state added later is each variable's detection kernel, a pure
+function of the network that is built on first use.
 """
 
 from __future__ import annotations
@@ -104,6 +106,8 @@ class BayesNet:
             self._parents[c].append(p)
             self._children[p].append(c)
         self._check_acyclic()
+        # sensor -> detection.BlanketKernel, filled by detection on first use
+        self.blanket_kernels: dict = {}
         self.cpts = dict(cpts)
         for name in names:
             cpt = self.cpts.get(name)

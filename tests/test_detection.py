@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -12,14 +15,14 @@ def make_disc(lo=0.0, hi=10.0, bins=10, sensor="s"):
 
 class TestDiscretizer:
     def test_fit_bounds_and_midpoints(self):
-        rows = [{"s": 0.0}, {"s": 10.0}]
-        d = sv.fit_discretizer(rows, ["s"], bins=10)
+        data = sv.Dataset(("s",), [[0.0], [10.0]])
+        d = sv.fit_discretizer(data, ["s"], bins=10)
         assert d.bounds["s"] == (0.0, 10.0)
         np.testing.assert_allclose(d.midpoints("s"), np.arange(10) + 0.5)
 
     def test_fit_constant_column(self):
         with pytest.raises(DiscretizerError, match="constant"):
-            sv.fit_discretizer([{"s": 5.0}, {"s": 5.0}, {"s": 5.0}], ["s"])
+            sv.fit_discretizer(sv.Dataset(("s",), [[5.0], [5.0], [5.0]]), ["s"])
 
     def test_fit_uses_column_min_max(self, ref):
         for s in ref.train.sensors:
@@ -28,11 +31,11 @@ class TestDiscretizer:
 
     def test_index_basic(self):
         d = make_disc()
-        assert sv.discretize(d, "s", 0.4) == 0
-        assert sv.discretize(d, "s", 10.0) == 9
-        assert sv.discretize(d, "s", -3.0) == 0
-        assert sv.discretize(d, "s", 11.7) == 9
-        assert sv.discretize(d, "s", 5.0) == 5
+        assert d.index("s", 0.4) == 0
+        assert d.index("s", 10.0) == 9
+        assert d.index("s", -3.0) == 0
+        assert d.index("s", 11.7) == 9
+        assert d.index("s", 5.0) == 5
 
     def test_needs_two_bins(self):
         with pytest.raises(DiscretizerError):
@@ -67,7 +70,7 @@ class TestPredictDistribution:
         reading = ref.test.row(25)
         d = ref.discretizer
         blanket_only = sv.predict_distribution(ref.net, d, reading, "m")
-        full = {s: d.state_label(d.index(s, reading[s]))
+        full = {s: str(d.index(s, reading[s]))
                 for s in ref.net.names() if s != "m"}
         want = sv.posterior_marginal(ref.net, full, "m")
         np.testing.assert_allclose(blanket_only.probabilities,
@@ -211,3 +214,35 @@ class TestValidateSensor:
         a = sv.validate_sensor(ref.net, ref.discretizer, reading, "t", crit)
         b = sv.validate_sensor(ref.net, ref.discretizer, reading, "t", crit)
         assert a == b
+
+
+class TestNonFiniteReadings:
+    CRITERIA = (sv.DetectionCriterion("sigma", 3.0),
+                sv.DetectionCriterion("pvalue", 0.01),
+                sv.DetectionCriterion("tau", 0.1))
+
+    @pytest.mark.parametrize("criterion", CRITERIA, ids=lambda c: c.kind)
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
+                             ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("where", ["target", "blanket"])
+    def test_rejected_with_sensor_and_value(self, ref, criterion, value, where):
+        # t is in m's Markov blanket
+        bad = "m" if where == "target" else "t"
+        reading = dict(ref.test.row(10), **{bad: value})
+        with pytest.raises(ValueError,
+                           match=re.escape(f"{value!r} of sensor {bad!r}")):
+            sv.validate_sensor(ref.net, ref.discretizer, reading, "m", criterion)
+
+
+class TestBlanketKernel:
+    def test_discretizer_with_other_bins_rejected(self, ref):
+        d = Discretizer(5, dict(ref.discretizer.bounds))
+        with pytest.raises(DiscretizerError, match="'m'"):
+            sv.predict_distribution(ref.net, d, ref.test.row(0), "m")
+
+    def test_built_once_per_network_and_sensor(self, ref):
+        reading = ref.test.row(3)
+        sv.predict_distribution(ref.net, ref.discretizer, reading, "t")
+        kernel = ref.net.blanket_kernels["t"]
+        sv.predict_distribution(ref.net, ref.discretizer, ref.test.row(4), "t")
+        assert ref.net.blanket_kernels["t"] is kernel

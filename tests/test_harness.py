@@ -138,7 +138,7 @@ class TestGenerate:
         struct = sv.random_tree_structure(21, seed=21)
         data = sv.generate_synthetic_dataset(struct, 870, noise=0.05, seed=7)
         train, test = sv.split_dataset(data, 0.7, seed=1)
-        d = sv.fit_discretizer(list(train.rows()), struct.sensors, bins=10)
+        d = sv.fit_discretizer(train, struct.sensors, bins=10)
         net = sv.learn_parameters(struct, d, train)
         crit = sv.DetectionCriterion("sigma", 3.0)
         flags = total = 0
@@ -152,7 +152,7 @@ class TestGenerate:
     def test_noise_free_cpts_approach_determinism(self):
         struct = sv.reference_structure()
         data = sv.generate_synthetic_dataset(struct, 10_000, noise=0.0, seed=3)
-        d = sv.fit_discretizer(list(data.rows()), struct.sensors, bins=10)
+        d = sv.fit_discretizer(data, struct.sensors, bins=10)
         net = sv.learn_parameters(struct, d, data)
         codes = {s: np.clip((10 * (data.values[:, i] - d.bounds[s][0])
                              / (d.bounds[s][1] - d.bounds[s][0])).astype(int),
@@ -349,7 +349,7 @@ class TestPolicyComparison:
         struct = sv.NetworkStructure("one", ("a",), ())
         data = sv.generate_synthetic_dataset(struct, 3000, noise=0.05, seed=2)
         train, test = sv.split_dataset(data, 0.7, seed=1)
-        d = sv.fit_discretizer(list(train.rows()), struct.sensors)
+        d = sv.fit_discretizer(train, struct.sensors)
         net = sv.learn_parameters(struct, d, train)
         iso = sv.build_isolation_network(sv.emb_table(net))
         e, r = sv.compare_selection_policies(net, d, iso, test, 4, seed=3)
