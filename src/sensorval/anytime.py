@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .detection import DetectionCriterion, Discretizer, validate_sensor
-from .isolation import CORRECT, FAULTY, IsolationNet, fault_belief
+from .isolation import (CORRECT, FAULTY, IsolationNet, candidate_scores,
+                        fault_belief)
 from .model import BayesNet, EmbTable
 
 
@@ -39,14 +40,9 @@ def conditional_average_entropy(iso: IsolationNet,
                                 candidate: str) -> float:
     """Sum of the average entropies after each outcome of validating the
     candidate next; smaller means the validation is more informative."""
-    if candidate in findings:
-        raise ValueError(f"{candidate!r} already has a finding")
-    total = 0.0
-    for status in (CORRECT, FAULTY):
-        branch = dict(findings)
-        branch[candidate] = status
-        total += average_entropy(fault_belief(iso, branch))
-    return total
+    net = iso.compiled
+    return float(candidate_scores(net, *net.finding_masks(findings),
+                                  net.indices([candidate]))[0])
 
 
 # Scores this close count as tied: symmetric sensors must not be ordered
@@ -60,7 +56,8 @@ def select_next_sensor(iso: IsolationNet, findings: Mapping[str, str],
                        unvalidated: Iterable[str]) -> str:
     """The unvalidated sensor of minimum conditional average entropy;
     scores within TIE_TOLERANCE of the minimum tie, and ties break
-    lexicographically.
+    lexicographically. All candidates are scored in one pass
+    (``isolation.candidate_scores``).
 
     The choice is a function of the findings and the candidates alone, so it
     is memoised on the network's compiled form, keyed by bitmasks.
@@ -73,9 +70,8 @@ def select_next_sensor(iso: IsolationNet, findings: Mapping[str, str],
     memo = net.select_memo
     choice = memo.get(key)
     if choice is None:
-        scores = [conditional_average_entropy(iso, findings, s)
-                  for s in candidates]
-        best = min(scores)
+        scores = candidate_scores(net, *key[:2], net.indices(candidates))
+        best = scores.min()
         choice = next(s for s, v in zip(candidates, scores)
                       if v - best <= TIE_TOLERANCE)
         if len(memo) >= SELECT_MEMO_CAP:
@@ -117,6 +113,24 @@ class DecisionTree:
                 return 0
             return 1 + max(depth(node.faulty), depth(node.ok))
         return depth(self.root)
+
+    def check(self, sensors: Iterable[str]) -> None:
+        """Raise ValueError naming the first node whose sensor is not among
+        ``sensors`` or is already validated higher on its path."""
+        known = set(sensors)
+
+        def walk(node, above):
+            if node is None:
+                return
+            if node.sensor not in known:
+                raise ValueError(f"tree names unknown sensor {node.sensor!r}")
+            if node.sensor in above:
+                raise ValueError(
+                    f"tree validates sensor {node.sensor!r} twice on one path")
+            above = above | {node.sensor}
+            walk(node.faulty, above)
+            walk(node.ok, above)
+        walk(self.root, frozenset())
 
     def paths(self) -> Iterator[list[tuple[str, str]]]:
         """All complete root-to-leaf outcome paths as (sensor, status) lists."""
@@ -253,6 +267,8 @@ def run_anytime_validation(
     Order comes from tree traversal when a tree is supplied, otherwise from
     on-line entropy selection (or the supplied ``selector``). A pruned-tree
     path that ends early terminates the cycle with the last beliefs standing.
+    A tree or selector that picks an unknown sensor, or one already
+    validated in this cycle, raises ValueError naming it.
     """
     # elapsed_ms counts library time only: the clock stops at each yield
     busy = 0.0
@@ -270,6 +286,10 @@ def run_anytime_validation(
             sensor = selector(iso, findings, unvalidated)
         else:
             sensor = select_next_sensor(iso, findings, unvalidated)
+        if sensor not in unvalidated:
+            raise ValueError(
+                f"sensor {sensor!r} was already validated in this cycle"
+                if sensor in findings else f"unknown sensor {sensor!r}")
         status = validate_sensor(net, d, reading, sensor, criterion)
         findings[sensor] = FAULTY if status.faulty else CORRECT
         unvalidated.discard(sensor)

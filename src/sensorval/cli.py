@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import time
 from pathlib import Path
 
 from . import anytime, detection, harness, isolation, model
@@ -45,10 +46,20 @@ def _load_model(args):
     return net, disc
 
 
-def _load_tree(args) -> anytime.DecisionTree | None:
+def _load_tree(args, iso) -> anytime.DecisionTree | None:
     if not args.tree:
         return None
-    return anytime.tree_from_json(_read(args.tree, "decision tree"))
+    document = _read(args.tree, "decision tree")
+    try:
+        tree = anytime.tree_from_json(document)
+        tree.check(iso.sensors)
+    except ValueError as exc:            # JSON syntax or a bad sensor
+        raise InputError(f"decision tree {args.tree}: {exc}") from None
+    except (KeyError, TypeError, RecursionError) as exc:
+        raise InputError(f"decision tree {args.tree} is not nested "
+                         f'{{"sensor", "faulty", "ok"}} objects ({exc!r})'
+                         ) from None
+    return tree
 
 
 def _build_isolation(net, args) -> isolation.IsolationNet:
@@ -79,17 +90,20 @@ def cmd_compile_tree(args) -> int:
     emb = model.emb_table(net)
     iso = isolation.build_isolation_network(emb, link_strength=args.c,
                                             prior=args.prior)
+    start = time.perf_counter()
     tree = anytime.compile_decision_tree(iso, emb=None if args.full else emb)
+    seconds = time.perf_counter() - start
     Path(args.out).write_text(anytime.tree_to_json(tree))
     print(f"{'full' if args.full else 'pruned'} tree: "
-          f"{tree.node_count()} nodes, depth {tree.depth()} -> {args.out}")
+          f"{tree.node_count()} nodes, depth {tree.depth()}, "
+          f"compiled in {seconds:.3f} s -> {args.out}")
     return EXIT_OK
 
 
 def cmd_validate(args) -> int:
     net, disc = _load_model(args)
     iso = _build_isolation(net, args)
-    tree = _load_tree(args)
+    tree = _load_tree(args, iso)
     data = harness.Dataset.from_csv(_read(args.data, "readings"))
     missing = [s for s in net.names() if s not in data.sensors]
     if missing:
@@ -111,20 +125,23 @@ def cmd_validate(args) -> int:
 def cmd_simulate(args) -> int:
     net, disc = _load_model(args)
     iso = _build_isolation(net, args)
-    tree = _load_tree(args)
+    tree = _load_tree(args, iso)
     data = harness.Dataset.from_csv(_read(args.data, "test data"))
     criterion = _criterion(args)
     severities = (args.severity,) if args.severity else (harness.SEVERE,
                                                          harness.MILD)
+    records = []
     if len(data) == 0:
         report = harness.ErrorReport(tuple(
             (harness.criterion_label(criterion), sev, 0, 0, 0.0, 0, 0, 0.0)
             for sev in severities))
     else:
+        start = time.perf_counter()
         records = harness.run_fault_experiments(
             net, disc, iso, tree, data, [criterion],
             declare_threshold=args.declare, seed=args.seed,
             severities=severities)
+        seconds = time.perf_counter() - start
         report = harness.evaluate_errors(records)
         report = harness.ErrorReport(tuple(
             e for e in report.entries if e[1] in severities))
@@ -133,6 +150,9 @@ def cmd_simulate(args) -> int:
         print(f"{label} {severity}: type I {t1c} ({t1r:.1%}), "
               f"type II {t2c} ({t2r:.1%})")
     print(f"report -> {args.out}")
+    if records:
+        print(f"{len(records)} cycles in {seconds:.2f} s "
+              f"({len(records) / seconds:.1f} cycles/s)")
     return EXIT_OK
 
 

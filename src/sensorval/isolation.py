@@ -129,17 +129,19 @@ class CompiledIsolation:
 
     ``log_q[i, j]`` is log(1 - c_ij) for a link i -> j and 0 where there is
     none; ``log_odds[i]`` is log(prior / (1 - prior)); ``parents[j]`` lists
-    the causes of apparent fault j. Sets of sensors are int bitmasks with
-    bit i for ``iso.sensors[i]``. ``select_memo`` belongs to
+    the causes of apparent fault j. ``index`` maps each sensor to its
+    position i and ``bit`` to 1 << i; sets of sensors are int bitmasks
+    with bit i for ``iso.sensors[i]``. ``select_memo`` belongs to
     ``anytime.select_next_sensor``, which memoises its choices there.
     """
 
-    __slots__ = ("bit", "prior", "log_odds", "log_q", "parents",
-                 "parent_mask", "select_memo")
+    __slots__ = ("sensors", "index", "bit", "prior", "log_odds", "log_q",
+                 "parents", "parent_mask", "select_memo")
 
     def __init__(self, iso: IsolationNet):
-        self.bit = {s: 1 << i for i, s in enumerate(iso.sensors)}
-        index = {s: i for i, s in enumerate(iso.sensors)}
+        self.sensors = iso.sensors
+        self.index = index = {s: i for i, s in enumerate(iso.sensors)}
+        self.bit = {s: 1 << i for s, i in index.items()}
         self.prior = np.array([iso.priors[s] for s in iso.sensors])
         self.log_odds = np.log(self.prior) - np.log1p(-self.prior)
         self.log_q = np.zeros((len(index), len(index)))
@@ -156,14 +158,14 @@ class CompiledIsolation:
             self.parent_mask.append(sum(1 << i for i in causes))
         self.select_memo = {}
 
+    def indices(self, sensors: Iterable[str]) -> list[int]:
+        try:
+            return [self.index[s] for s in sensors]
+        except KeyError as exc:
+            raise KeyError(f"unknown sensor {exc.args[0]!r}") from None
+
     def mask(self, sensors: Iterable[str]) -> int:
-        out = 0
-        for s in sensors:
-            try:
-                out |= self.bit[s]
-            except KeyError:
-                raise KeyError(f"unknown sensor {s!r}") from None
-        return out
+        return sum(1 << i for i in self.indices(sensors))
 
     def finding_masks(self, findings: Mapping[str, str]) -> tuple[int, int]:
         """(faulty, correct) bitmasks of sensor -> "faulty"/"correct" findings."""
@@ -204,38 +206,124 @@ def noisy_or_root_posteriors(net: CompiledIsolation, faulty: int, correct: int,
     enumeration limit. 1 - prod q is taken as -expm1(sum log q) so weak
     links keep their precision.
     """
-    # each root's weight for "active", relative to its prior
     active_log = net.log_q[:, _indices(correct)].sum(axis=1)
+    return _posteriors(net, active_log, _components(net, faulty),
+                       enumeration_limit)
+
+
+def branch_posteriors(net: CompiledIsolation, faulty: int, correct: int,
+                      candidates: list[int],
+                      enumeration_limit: int = 2 ** 16) -> np.ndarray:
+    """Root posteriors after each outcome of validating each candidate next.
+
+    ``candidates`` are sensor indices without a finding. Row [0, i] holds
+    the posteriors once ``candidates[i]`` is found correct, row [1, i] once
+    it is found faulty. A correct finding only adds ``log_q[:, c]`` to the
+    roots' active log-weights, so all correct branches are enumerated as
+    one batch over the state's components; a faulty finding changes only
+    the component that c's parents merge into, so only that component is
+    re-enumerated and every other root keeps the state's posterior.
+    """
+    for c in candidates:
+        if (faulty | correct) >> c & 1:
+            raise ValueError(f"{net.sensors[c]!r} already has a finding")
+    active_log = net.log_q[:, _indices(correct)].sum(axis=1)
+    components = _components(net, faulty)
+    out = np.empty((2, len(candidates), len(net.prior)))
+    batch = active_log[:, None] + net.log_q[:, candidates]
+    out[0] = _posteriors(net, batch, components, enumeration_limit).T
+    out[1] = _posteriors(net, active_log, components, enumeration_limit)
+    unary = net.log_odds + active_log
     w1 = net.prior * np.exp(active_log)
-    post = w1 / (w1 + (1.0 - net.prior))
+    for i, c in enumerate(candidates):
+        roots, effects, _ = _merge(components, net.parent_mask[c], [c])
+        members = _indices(roots)
+        out[1, i, members] = _component(net, members, effects, unary, w1,
+                                        enumeration_limit)
+    return out
 
-    components = []                         # (root mask, faulty effects)
+
+def candidate_scores(net: CompiledIsolation, faulty: int, correct: int,
+                     candidates: list[int],
+                     enumeration_limit: int = 2 ** 16) -> np.ndarray:
+    """Conditional average entropy of each candidate: the mean binary
+    entropy of the root posteriors after a correct finding plus that after
+    a faulty one. Smaller means the validation is more informative."""
+    p = branch_posteriors(net, faulty, correct, candidates,
+                          enumeration_limit).clip(0.0, 1.0)
+    q = 1.0 - p
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h = -(p * np.log2(p) + q * np.log2(q))
+    h[(p == 0.0) | (p == 1.0)] = 0.0
+    return h.mean(axis=2).sum(axis=0)
+
+
+def _merge(components: list, roots: int, effects: list) -> tuple:
+    """Join the component (roots, effects) with every component sharing a
+    root; returns the joined roots and effects (``effects`` extended in
+    place) and the untouched rest."""
+    rest = []
+    for comp in components:
+        if comp[0] & roots:
+            roots |= comp[0]
+            effects += comp[1]
+        else:
+            rest.append(comp)
+    return roots, effects, rest
+
+
+def _components(net: CompiledIsolation, faulty: int) -> list:
+    """The (root mask, faulty effects) components coupled by faulty findings."""
+    components = []
     for j in _indices(faulty):
-        roots, effects, rest = net.parent_mask[j], [j], []
-        for comp in components:
-            if comp[0] & roots:
-                roots |= comp[0]
-                effects += comp[1]
-            else:
-                rest.append(comp)
+        roots, effects, rest = _merge(components, net.parent_mask[j], [j])
         components = rest + [(roots, effects)]
+    return components
 
-    unary_log = net.log_odds + active_log
+
+def _posteriors(net, active_log, components, enumeration_limit) -> np.ndarray:
+    """Root posteriors given the active log-weights of the correct findings:
+    a vector over roots, or a matrix with one column per batch entry."""
+    prior, log_odds = net.prior, net.log_odds
+    if active_log.ndim == 2:
+        prior, log_odds = prior[:, None], log_odds[:, None]
+    w1 = prior * np.exp(active_log)
+    post = w1 / (w1 + (1.0 - prior))
+    unary = log_odds + active_log
     for roots, effects in components:
         members = _indices(roots)
-        k = len(members)
-        if 2 ** k > enumeration_limit:
-            post[members] = _component_marginals_ve(net, members, effects, w1)
-            continue
-        bits = _BIT_TABLES[k] if k < len(_BIT_TABLES) else _bit_table(k)
-        logw = bits @ unary_log[members]
-        weights = np.exp(logw - logw.max())
-        weights *= (-np.expm1(bits @ net.log_q[members][:, effects])).prod(axis=1)
-        total = weights.sum()
-        if total <= _TINY:
-            raise InconsistentEvidenceError("findings have probability zero")
-        post[members] = (weights @ bits) / total
+        post[members] = _component(net, members, effects, unary, w1,
+                                   enumeration_limit)
     return post
+
+
+def _component(net, members, effects, unary, w1, enumeration_limit):
+    """Exact posteriors of one coupled component's roots, from every root's
+    log-odds ``unary`` and active weight ``w1`` given the correct findings:
+    vectors, or matrices with one column per batch entry."""
+    k = len(members)
+    if 2 ** k > enumeration_limit:
+        if w1.ndim == 1:
+            return _component_marginals_ve(net, members, effects, w1)
+        return np.column_stack([
+            _component_marginals_ve(net, members, effects, column)
+            for column in w1.T])
+    bits = _BIT_TABLES[k] if k < len(_BIT_TABLES) else _bit_table(k)
+    logw = bits @ unary[members]
+    likelihood = (-np.expm1(bits @ net.log_q[members][:, effects])).prod(axis=1)
+    # a single solve, the belief update of every cycle step, stays in
+    # vector form: the axis arguments cost it about 1 us per component
+    if logw.ndim == 1:
+        weights = np.exp(logw - logw.max()) * likelihood
+        total = weights.sum()
+        smallest = total
+    else:
+        weights = np.exp(logw - logw.max(axis=0)) * likelihood[:, None]
+        total = weights.sum(axis=0)
+        smallest = total.min()
+    if smallest <= _TINY:
+        raise InconsistentEvidenceError("findings have probability zero")
+    return (bits.T @ weights) / total
 
 
 def _component_marginals_ve(net, members, effects, w1) -> np.ndarray:

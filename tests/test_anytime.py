@@ -10,7 +10,8 @@ import sensorval as sv
 from sensorval import anytime
 from sensorval.anytime import TreeNode
 from sensorval.isolation import CORRECT, FAULTY
-from conftest import REFERENCE_EMB, random_emb_table
+from sensorval.benchmarks import tree21_benchmark
+from conftest import FIXTURES, REFERENCE_EMB, random_emb_table
 
 
 class TestBinaryEntropy:
@@ -298,6 +299,45 @@ class TestPruning:
             assert pruned.node_count() <= n * (n + 1), dict(emb)
 
 
+class TestGoldenTrees:
+    """Compiled trees stay byte-identical to the committed fixtures."""
+
+    def test_reference_trees(self):
+        net = sv.load_network((FIXTURES / "reference_net.json").read_text())
+        emb = sv.emb_table(net)
+        iso = sv.build_isolation_network(emb)
+        assert sv.tree_to_json(sv.compile_decision_tree(iso)) == (
+            FIXTURES / "reference_full.tree.json").read_text()
+        assert sv.tree_to_json(sv.compile_decision_tree(iso, emb)) == (
+            FIXTURES / "reference_pruned.tree.json").read_text()
+
+    def test_tree21_pruned_tree(self):
+        bench = tree21_benchmark(
+            calibration=sv.DetectionCriterion("pvalue", 0.01))
+        tree = sv.compile_decision_tree(bench.iso, bench.emb)
+        assert tree.node_count() == 249
+        assert sv.tree_to_json(tree) == (
+            FIXTURES / "tree21_pvalue001.tree.json").read_text()
+
+
+class TestTreeCheck:
+    def test_compiled_tree_passes(self, ref_iso):
+        sv.compile_decision_tree(ref_iso).check(ref_iso.sensors)
+
+    def test_unknown_sensor(self):
+        tree = sv.DecisionTree(TreeNode("t", None, TreeNode("zz")))
+        with pytest.raises(ValueError, match="unknown sensor 'zz'"):
+            tree.check(["t", "m"])
+
+    def test_repeat_on_one_path(self):
+        # t on both branches is fine; t below t is not
+        sv.DecisionTree(TreeNode("m", TreeNode("t"), TreeNode("t"))).check(
+            ["t", "m"])
+        tree = sv.DecisionTree(TreeNode("t", None, TreeNode("m", TreeNode("t"))))
+        with pytest.raises(ValueError, match="'t' twice on one path"):
+            tree.check(["t", "m"])
+
+
 class TestTreeJson:
     def test_round_trip(self, ref_iso):
         emb = sv.EmbTable(REFERENCE_EMB)
@@ -381,6 +421,35 @@ class TestRunAnytimeValidation:
             ref.net, ref.discretizer, ref.iso, pruned, reading, crit))
         assert 0 < len(records) < 5
         assert set(records[-1].pf) == set(ref.iso.sensors)
+
+    def test_tree_with_unknown_sensor_is_refused(self, ref):
+        crit = sv.DetectionCriterion("sigma", 3.0)
+        tree = sv.DecisionTree(TreeNode("t", TreeNode("zz"), TreeNode("zz")))
+        cycle = sv.run_anytime_validation(
+            ref.net, ref.discretizer, ref.iso, tree, ref.test.row(10), crit)
+        assert next(cycle).sensor == "t"
+        with pytest.raises(ValueError, match="unknown sensor 'zz'"):
+            next(cycle)
+
+    def test_tree_repeating_a_sensor_is_refused(self, ref):
+        crit = sv.DetectionCriterion("sigma", 3.0)
+        again = TreeNode("t", TreeNode("m"), TreeNode("m"))
+        tree = sv.DecisionTree(TreeNode("t", again, again))
+        with pytest.raises(ValueError, match="'t' was already validated"):
+            list(sv.run_anytime_validation(
+                ref.net, ref.discretizer, ref.iso, tree, ref.test.row(10),
+                crit))
+
+    @pytest.mark.parametrize("pick, message", [
+        (lambda iso, findings, rest: "zz", "unknown sensor 'zz'"),
+        (lambda iso, findings, rest: "t", "'t' was already validated"),
+    ])
+    def test_selector_pick_is_checked(self, ref, pick, message):
+        crit = sv.DetectionCriterion("sigma", 3.0)
+        with pytest.raises(ValueError, match=message):
+            list(sv.run_anytime_validation(
+                ref.net, ref.discretizer, ref.iso, None, ref.test.row(10),
+                crit, selector=pick))
 
     def test_step_record_json_fields(self, ref):
         crit = sv.DetectionCriterion("sigma", 3.0)

@@ -70,7 +70,11 @@ class TestCompileTree:
         tree = sv.tree_from_json(out.read_text())
         assert tree.node_count() <= 30
         assert tree.depth() == 5
-        assert "pruned" in capsys.readouterr().out
+        out_text = capsys.readouterr().out
+        assert "pruned" in out_text
+        assert "compiled in" in out_text
+        assert out.read_text() == (FIXTURES / "reference_pruned.tree.json"
+                                   ).read_text()
 
     def test_full_flag(self, tmp_path, capsys):
         out = tmp_path / "tree.json"
@@ -189,6 +193,53 @@ class TestValidate:
         assert first["sensor"] == "t"
 
 
+def bad_trees(tmp_path):
+    """(path, sensor) of a tree naming an unknown sensor and of a tree
+    validating one sensor twice on a path."""
+    good = json.loads((FIXTURES / "reference_pruned.tree.json").read_text())
+    unknown = json.loads(json.dumps(good))
+    unknown["ok"]["sensor"] = "zz"
+    repeat = json.loads(json.dumps(good))
+    repeat["ok"]["ok"]["sensor"] = good["sensor"]
+    out = []
+    for name, doc, sensor in (("unknown", unknown, "zz"),
+                              ("repeat", repeat, good["sensor"])):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        out.append((str(path), sensor))
+    return out
+
+
+@pytest.mark.parametrize("command", ["validate", "simulate"])
+def test_bad_tree_is_an_input_error(tmp_path, capsys, command):
+    out = tmp_path / "out.txt"
+    for path, sensor in bad_trees(tmp_path):
+        rc = main([command, "--network", NET, "--discretizer", DISC,
+                   "--data", READINGS, "--tree", path, "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"decision tree {path}:" in err and repr(sensor) in err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("document", [
+    "[1, 2]", '{"sensor": "t"}', "{", "null",
+    '{"sensor": "t", "faulty": ' * 3000 + "null" + ', "ok": null}' * 3000])
+def test_malformed_tree_is_an_input_error(tmp_path, capsys, document):
+    path = tmp_path / "tree.json"
+    path.write_text(document)
+    rc = main(["validate", "--network", NET, "--discretizer", DISC,
+               "--data", READINGS, "--tree", str(path),
+               "--out", str(tmp_path / "out.txt")])
+    err = capsys.readouterr().err
+    if document == "null":
+        # the empty tree is valid: every cycle ends before its first step
+        assert rc == 0 and err == ""
+    else:
+        assert rc == 2
+        assert f"decision tree {path}" in err
+
+
 class TestSimulateAndCompare:
     def test_simulate_report(self, tmp_path):
         data = tmp_path / "rows.csv"
@@ -203,6 +254,18 @@ class TestSimulateAndCompare:
         assert text[0] == ("criterion,severity,type1_count,type1_rate,"
                            "type2_count,type2_rate")
         assert len(text) == 3
+
+    def test_simulate_prints_throughput(self, tmp_path, capsys):
+        data = tmp_path / "rows.csv"
+        lines = Path(READINGS).read_text().splitlines()
+        data.write_text("\n".join(lines[:3]) + "\n")
+        rc = main(["simulate", "--network", NET, "--discretizer", DISC,
+                   "--data", str(data), "--seed", "4",
+                   "--out", str(tmp_path / "report.csv")])
+        assert rc == 0
+        last = capsys.readouterr().out.splitlines()[-1]
+        # 2 rows x (1 control + 5 sensors x 2 severities)
+        assert last.startswith("22 cycles in ") and last.endswith(" cycles/s)")
 
     def test_simulate_severity_filter(self, tmp_path):
         data = tmp_path / "rows.csv"
