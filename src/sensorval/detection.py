@@ -21,7 +21,7 @@ import numpy as np
 
 from .inference import (_EVIDENCE_EPS, Distribution,
                         InconsistentEvidenceError, posterior_marginal)
-from .model import BayesNet, markov_blanket
+from .model import BayesNet, json_object, malformed_part, markov_blanket
 
 if TYPE_CHECKING:
     from .harness import Dataset
@@ -48,9 +48,6 @@ class Discretizer:
         for s, (lo, hi) in self.bounds.items():
             if not lo < hi:
                 raise DiscretizerError(f"zero-width range for sensor {s!r}")
-
-    def sensors(self) -> tuple[str, ...]:
-        return tuple(self.bounds)
 
     def index(self, sensor: str, x: float) -> int:
         """Interval index of x; out-of-range values clamp to the edge intervals."""
@@ -83,10 +80,12 @@ def discretizer_to_json(d: Discretizer) -> str:
 
 
 def discretizer_from_json(document: str) -> Discretizer:
-    doc = json.loads(document)
-    return Discretizer(int(doc["bins"]),
-                       {s: (float(lo), float(hi))
-                        for s, (lo, hi) in doc["bounds"].items()})
+    doc = json_object(document, DiscretizerError)
+    with malformed_part(DiscretizerError, "bins", "an integer"):
+        bins = int(doc["bins"])
+    with malformed_part(DiscretizerError, "bounds", "{sensor: [lower, upper]}"):
+        bounds = {s: (float(lo), float(hi)) for s, (lo, hi) in doc["bounds"].items()}
+    return Discretizer(bins, bounds)
 
 
 def fit_discretizer(data: Dataset, sensors: Sequence[str],

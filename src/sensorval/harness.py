@@ -13,7 +13,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .anytime import DecisionTree, StepRecord, run_anytime_validation
+from .anytime import DecisionTree, run_anytime_validation
 from .detection import DetectionCriterion, Discretizer
 from .isolation import IsolationNet, declare_faults, fault_belief
 from .model import BayesNet, Cpt, NetworkStructure, Variable
@@ -22,6 +22,8 @@ SEVERE, MILD = "severe", "mild"
 MILD_FRACTION = 0.25
 
 DEFAULT_DECLARE = 0.9
+MAX_CHILDREN = 3             # branching bound of random_tree_structure
+LINK_CEILING = 0.99          # cap on calibrated link strengths
 
 
 @dataclass(frozen=True)
@@ -82,6 +84,9 @@ class FaultSpec:
 
 @dataclass(frozen=True)
 class ExperimentRecord:
+    """One experiment's final beliefs and declared faults. ``trace`` is
+    always empty; it stays because ``perfbench/tracing.py`` reads it."""
+
     row_index: int
     fault: FaultSpec | None
     criterion: DetectionCriterion
@@ -177,18 +182,16 @@ def reference_structure() -> NetworkStructure:
     )
 
 
-def random_tree_structure(n: int = 21, seed: int = 21,
-                          max_children: int = 3) -> NetworkStructure:
+def random_tree_structure(n: int = 21, seed: int = 21) -> NetworkStructure:
     """A seeded random tree over n sensors with bounded branching."""
     rng = np.random.default_rng(seed)
     sensors = tuple(f"s{i:02d}" for i in range(n))
     edges = []
-    child_count = {0: 0}
+    child_count = [0] * n
     for i in range(1, n):
-        open_parents = [j for j in range(i) if child_count[j] < max_children]
+        open_parents = [j for j in range(i) if child_count[j] < MAX_CHILDREN]
         parent = int(rng.choice(open_parents))
         child_count[parent] += 1
-        child_count[i] = 0
         edges.append((sensors[parent], sensors[i]))
     return NetworkStructure(f"tree{n}", sensors, tuple(edges))
 
@@ -256,7 +259,6 @@ def calibrate_link_strengths(
     criterion: DetectionCriterion,
     n_rows: int = 40,
     seed: int = 0,
-    ceiling: float = 0.99,
 ) -> dict[tuple[str, str], float]:
     """Estimate per-link strengths c[i, j] = P(apparent fault in j | real
     fault in i) by injecting severe faults into training rows and running
@@ -281,14 +283,10 @@ def calibrate_link_strengths(
                 key = (cause, effect)
                 hits[key] = hits.get(key, 0.0) + status.faulty
                 trials[key] = trials.get(key, 0.0) + 1.0
-    return {k: min((hits[k] + 1.0) / (trials[k] + 2.0), ceiling) for k in hits}
+    return {k: min((hits[k] + 1.0) / (trials[k] + 2.0), LINK_CEILING) for k in hits}
 
 
 # --- experiments ------------------------------------------------------------
-
-def _run_cycle(net, d, iso, tree, reading, criterion) -> list[StepRecord]:
-    return list(run_anytime_validation(net, d, iso, tree, reading, criterion))
-
 
 def run_fault_experiments(
     net: BayesNet,
@@ -301,26 +299,25 @@ def run_fault_experiments(
     seed: int = 0,
     severities: Sequence[str] = (SEVERE, MILD),
 ) -> list[ExperimentRecord]:
-    """For each test row and sensor, one faulty run per severity, plus one
-    clean control run per row; each runs a full anytime cycle."""
+    """For each test row, one clean control run, then one faulty run per
+    sensor and severity; each keeps only its anytime cycle's final beliefs.
+    ``seed`` is unused (every run is deterministic) but stays because
+    callers, the acceptance gate among them, pass it."""
+    specs = [FaultSpec(s, severity) for s in iso.sensors for severity in severities]
     records = []
     for criterion in criteria:
         for i in range(len(test)):
             reading = test.row(i)
-            trace = _run_cycle(net, d, iso, tree, reading, criterion)
-            pf = trace[-1].pf if trace else fault_belief(iso, {})
-            records.append(ExperimentRecord(
-                i, None, criterion, pf,
-                declare_faults(pf, declare_threshold), trace))
-            for sensor in iso.sensors:
-                for severity in severities:
-                    spec = FaultSpec(sensor, severity)
-                    faulted = inject_fault(reading, spec, d)
-                    trace = _run_cycle(net, d, iso, tree, faulted, criterion)
-                    pf = trace[-1].pf if trace else fault_belief(iso, {})
-                    records.append(ExperimentRecord(
-                        i, spec, criterion, pf,
-                        declare_faults(pf, declare_threshold), trace))
+            for spec in (None, *specs):
+                row = reading if spec is None else inject_fault(reading, spec, d)
+                pf = None
+                for step in run_anytime_validation(net, d, iso, tree, row, criterion):
+                    pf = step.pf
+                if pf is None:
+                    pf = fault_belief(iso, {})
+                records.append(ExperimentRecord(
+                    i, spec, criterion, pf,
+                    declare_faults(pf, declare_threshold)))
     return records
 
 
@@ -329,15 +326,11 @@ def evaluate_errors(records: Sequence[ExperimentRecord]) -> ErrorReport:
     judgments (controls included). Type II: injected faults not declared."""
     if not records:
         raise ValueError("no experiment records")
-    keys = []
+    tallies = {}  # (label, severity) -> [t1_count, t1_total, t2_count, t2_total]
     for rec in records:
         label = criterion_label(rec.criterion)
         for severity in (SEVERE, MILD):
-            if (label, severity) not in keys:
-                keys.append((label, severity))
-    tallies = {k: [0, 0, 0, 0] for k in keys}  # t1_count, t1_total, t2_count, t2_total
-    for rec in records:
-        label = criterion_label(rec.criterion)
+            tallies.setdefault((label, severity), [0, 0, 0, 0])
         sensors = rec.final_pf.keys()
         if rec.fault is None:
             # Controls count toward type I under every severity of this criterion.
@@ -392,10 +385,8 @@ def compare_selection_policies(
             return pool[int(policy_rng.integers(len(pool)))]
 
         for policy, selector in (("entropy", None), ("random", random_selector)):
-            trace = list(run_anytime_validation(
-                net, d, iso, None, faulted, criterion, selector=selector))
-            qs = np.array([rec.quality for rec in trace])
-            mean_q[policy] += qs
+            mean_q[policy] += [rec.quality for rec in run_anytime_validation(
+                net, d, iso, None, faulted, criterion, selector=selector)]
     return mean_q["entropy"] / n_experiments, mean_q["random"] / n_experiments
 
 

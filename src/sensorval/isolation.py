@@ -12,7 +12,7 @@ solver reads; findings are passed to it as bitmasks over the sensors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
 
@@ -28,6 +28,8 @@ FAULTY, CORRECT = "faulty", "correct"
 DEFAULT_LINK_STRENGTH = 0.99
 DEFAULT_PRIOR = 0.5
 _TINY = 1e-300                 # evidence at or below this has probability zero
+# Components with more root assignments take variable elimination (tests patch it).
+ENUMERATION_LIMIT = 2 ** 16
 
 
 def root_name(sensor: str) -> str:
@@ -50,7 +52,6 @@ class IsolationNet:
     parents_of: dict                   # apparent sensor -> tuple of root sensors
     params: NoisyOrParams
     priors: dict                       # sensor -> prior fault probability
-    emb: EmbTable = field(repr=False, default=None)
 
     @cached_property
     def compiled(self) -> "CompiledIsolation":
@@ -120,7 +121,6 @@ def build_isolation_network(
         parents_of=parents_of,
         params=NoisyOrParams(strengths),
         priors={s: prior for s in sensors},
-        emb=emb,
     )
 
 
@@ -195,25 +195,23 @@ def _bit_table(k: int) -> np.ndarray:
 _BIT_TABLES = [_bit_table(k) for k in range(11)]
 
 
-def noisy_or_root_posteriors(net: CompiledIsolation, faulty: int, correct: int,
-                             enumeration_limit: int = 2 ** 16) -> np.ndarray:
+def noisy_or_root_posteriors(net: CompiledIsolation, faulty: int,
+                             correct: int) -> np.ndarray:
     """Exact P(root active | leaf findings), in the network's sensor order.
 
     ``faulty`` and ``correct`` are bitmasks of the observed apparent
     statuses. Correct findings factorize into per-root weights; each faulty
     finding couples its parent set. Coupled components are summed out by
-    vectorized enumeration while small, by variable elimination beyond the
-    enumeration limit. 1 - prod q is taken as -expm1(sum log q) so weak
-    links keep their precision.
+    vectorized enumeration while small, by variable elimination beyond
+    ``ENUMERATION_LIMIT`` assignments. 1 - prod q is taken as
+    -expm1(sum log q) so weak links keep their precision.
     """
     active_log = net.log_q[:, _indices(correct)].sum(axis=1)
-    return _posteriors(net, active_log, _components(net, faulty),
-                       enumeration_limit)
+    return _posteriors(net, active_log, _components(net, faulty))
 
 
 def branch_posteriors(net: CompiledIsolation, faulty: int, correct: int,
-                      candidates: list[int],
-                      enumeration_limit: int = 2 ** 16) -> np.ndarray:
+                      candidates: list[int]) -> np.ndarray:
     """Root posteriors after each outcome of validating each candidate next.
 
     ``candidates`` are sensor indices without a finding. Row [0, i] holds
@@ -231,26 +229,23 @@ def branch_posteriors(net: CompiledIsolation, faulty: int, correct: int,
     components = _components(net, faulty)
     out = np.empty((2, len(candidates), len(net.prior)))
     batch = active_log[:, None] + net.log_q[:, candidates]
-    out[0] = _posteriors(net, batch, components, enumeration_limit).T
-    out[1] = _posteriors(net, active_log, components, enumeration_limit)
+    out[0] = _posteriors(net, batch, components).T
+    out[1] = _posteriors(net, active_log, components)
     unary = net.log_odds + active_log
     w1 = net.prior * np.exp(active_log)
     for i, c in enumerate(candidates):
         roots, effects, _ = _merge(components, net.parent_mask[c], [c])
         members = _indices(roots)
-        out[1, i, members] = _component(net, members, effects, unary, w1,
-                                        enumeration_limit)
+        out[1, i, members] = _component(net, members, effects, unary, w1)
     return out
 
 
 def candidate_scores(net: CompiledIsolation, faulty: int, correct: int,
-                     candidates: list[int],
-                     enumeration_limit: int = 2 ** 16) -> np.ndarray:
+                     candidates: list[int]) -> np.ndarray:
     """Conditional average entropy of each candidate: the mean binary
     entropy of the root posteriors after a correct finding plus that after
     a faulty one. Smaller means the validation is more informative."""
-    p = branch_posteriors(net, faulty, correct, candidates,
-                          enumeration_limit).clip(0.0, 1.0)
+    p = branch_posteriors(net, faulty, correct, candidates).clip(0.0, 1.0)
     q = 1.0 - p
     with np.errstate(divide="ignore", invalid="ignore"):
         h = -(p * np.log2(p) + q * np.log2(q))
@@ -281,7 +276,7 @@ def _components(net: CompiledIsolation, faulty: int) -> list:
     return components
 
 
-def _posteriors(net, active_log, components, enumeration_limit) -> np.ndarray:
+def _posteriors(net, active_log, components) -> np.ndarray:
     """Root posteriors given the active log-weights of the correct findings:
     a vector over roots, or a matrix with one column per batch entry."""
     prior, log_odds = net.prior, net.log_odds
@@ -292,17 +287,16 @@ def _posteriors(net, active_log, components, enumeration_limit) -> np.ndarray:
     unary = log_odds + active_log
     for roots, effects in components:
         members = _indices(roots)
-        post[members] = _component(net, members, effects, unary, w1,
-                                   enumeration_limit)
+        post[members] = _component(net, members, effects, unary, w1)
     return post
 
 
-def _component(net, members, effects, unary, w1, enumeration_limit):
+def _component(net, members, effects, unary, w1):
     """Exact posteriors of one coupled component's roots, from every root's
     log-odds ``unary`` and active weight ``w1`` given the correct findings:
     vectors, or matrices with one column per batch entry."""
     k = len(members)
-    if 2 ** k > enumeration_limit:
+    if 2 ** k > ENUMERATION_LIMIT:
         if w1.ndim == 1:
             return _component_marginals_ve(net, members, effects, w1)
         return np.column_stack([

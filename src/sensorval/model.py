@@ -11,6 +11,7 @@ function of the network that is built on first use.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -250,21 +251,34 @@ def save_network(net: BayesNet) -> str:
     return json.dumps(doc, indent=1)
 
 
+@contextmanager
+def malformed_part(error: type, part: str, shape: str):
+    """Raise ``error`` naming ``part`` when reading it here finds a wrong shape."""
+    try:
+        yield
+    except (TypeError, ValueError, KeyError, AttributeError) as exc:
+        raise error(f"{part!r} must be {shape} ({exc!r})") from None
+
+
+def json_object(document: str, error: type) -> dict:
+    """The JSON object in ``document``; ``error`` if it holds none."""
+    with malformed_part(error, "document", "JSON"):
+        doc = json.loads(document)
+    if not isinstance(doc, dict):
+        raise error(f"document is a JSON {type(doc).__name__}, not an object")
+    return doc
+
+
 def load_network(document: str) -> BayesNet:
     """Parse a network JSON document; raises NetworkError subclasses on defects."""
-    try:
-        doc = json.loads(document)
-    except json.JSONDecodeError as exc:
-        raise NetworkError(f"not valid JSON: {exc}") from exc
-    for key in ("variables", "edges", "cpts"):
-        if key not in doc:
-            raise NetworkError(f"document is missing {key!r}")
-    variables = [Variable(v["name"], tuple(v["states"])) for v in doc["variables"]]
-    edges = [(p, c) for p, c in doc["edges"]]
-    cpts = {}
-    for child, entry in doc["cpts"].items():
-        cpts[child] = Cpt(child, tuple(entry["parents"]),
-                          np.asarray(entry["table"], dtype=float))
+    doc = json_object(document, NetworkError)
+    with malformed_part(NetworkError, "variables", "a list of {name, states}"):
+        variables = [Variable(v["name"], tuple(v["states"])) for v in doc["variables"]]
+    with malformed_part(NetworkError, "edges", "a list of [parent, child]"):
+        edges = [(p, c) for p, c in doc["edges"]]
+    with malformed_part(NetworkError, "cpts", "{child: {parents, table}}"):
+        cpts = {c: Cpt(c, tuple(e["parents"]), np.asarray(e["table"], dtype=float))
+                for c, e in doc["cpts"].items()}
     return BayesNet(variables, edges, cpts)
 
 
@@ -278,12 +292,10 @@ def save_structure(structure: NetworkStructure) -> str:
 
 
 def load_structure(document: str) -> NetworkStructure:
-    try:
-        doc = json.loads(document)
-    except json.JSONDecodeError as exc:
-        raise NetworkError(f"not valid JSON: {exc}") from exc
-    if "variables" not in doc or "edges" not in doc:
-        raise NetworkError("structure document needs 'variables' and 'edges'")
-    sensors = [v["name"] if isinstance(v, dict) else v for v in doc["variables"]]
-    return NetworkStructure(doc.get("name", "structure"), tuple(sensors),
-                            tuple((p, c) for p, c in doc["edges"]))
+    doc = json_object(document, NetworkError)
+    with malformed_part(NetworkError, "variables", "a list of names"):
+        sensors = tuple(v["name"] if isinstance(v, dict) else v
+                        for v in doc["variables"])
+    with malformed_part(NetworkError, "edges", "a list of [parent, child]"):
+        edges = tuple((p, c) for p, c in doc["edges"])
+    return NetworkStructure(doc.get("name", "structure"), sensors, edges)

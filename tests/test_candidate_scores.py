@@ -11,6 +11,7 @@ reference argmin.
 """
 
 import itertools
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -106,10 +107,11 @@ def test_branch_posteriors_match_enumeration(state):
     masks = net.finding_masks(findings)
     batched = isolation.branch_posteriors(net, *masks, net.indices(candidates))
     # enumeration limit 2 sends every component of two or more roots
-    # through variable elimination
-    eliminated = isolation.branch_posteriors(net, *masks,
-                                             net.indices(candidates),
-                                             enumeration_limit=2)
+    # through variable elimination; a function-scoped monkeypatch would
+    # fail hypothesis's health check
+    with patch.object(isolation, "ENUMERATION_LIMIT", 2):
+        eliminated = isolation.branch_posteriors(net, *masks,
+                                                 net.indices(candidates))
     expanded = iso.to_bayes_net()
     for i, s in enumerate(candidates):
         for b, status in enumerate((CORRECT, FAULTY)):
@@ -143,9 +145,9 @@ def test_elimination_fallback_scores(ref_iso):
     net = ref_iso.compiled
     for findings in ({"t": FAULTY}, {"t": FAULTY, "g": FAULTY, "p": CORRECT}):
         candidates = [s for s in ref_iso.sensors if s not in findings]
-        scores = isolation.candidate_scores(
-            net, *net.finding_masks(findings), net.indices(candidates),
-            enumeration_limit=2)
+        with patch.object(isolation, "ENUMERATION_LIMIT", 2):
+            scores = isolation.candidate_scores(
+                net, *net.finding_masks(findings), net.indices(candidates))
         for s, score in zip(candidates, scores):
             assert score == pytest.approx(
                 reference_score(ref_iso, findings, s), abs=1e-9)

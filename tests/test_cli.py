@@ -240,6 +240,55 @@ def test_malformed_tree_is_an_input_error(tmp_path, capsys, document):
         assert f"decision tree {path}" in err
 
 
+def run_with_document(tmp_path, capsys, argv, document):
+    """Run the CLI with ``argv`` plus a file holding ``document`` as the
+    last option's value; returns the exit status and standard error."""
+    path = tmp_path / "doc.json"
+    path.write_text(document)
+    rc = main([*argv, str(path)])
+    return rc, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("document, part", [
+    ('{"variables": 5, "edges": [], "cpts": {}}', "'variables'"),
+    ('{"variables": [5], "edges": [], "cpts": {}}', "'variables'"),
+    ('{"variables": [], "edges": 5, "cpts": {}}', "'edges'"),
+    ('{"variables": [], "edges": [], "cpts": []}', "'cpts'"),
+    ('{"variables": [], "edges": [], "cpts": {"x": 5}}', "'cpts'"),
+    ("null", "document")])
+def test_malformed_network_is_an_input_error(tmp_path, capsys, document, part):
+    rc, err = run_with_document(
+        tmp_path, capsys, ["validate", "--discretizer", DISC, "--data",
+                           READINGS, "--network"], document)
+    assert rc == 2 and part in err and "runtime error" not in err
+
+
+@pytest.mark.parametrize("document, part", [
+    ('{"variables": 5, "edges": []}', "'variables'"),
+    ('{"variables": ["a"], "edges": [5]}', "'edges'"),
+    ("5", "document")])
+def test_malformed_structure_is_an_input_error(tmp_path, capsys, document,
+                                               part):
+    rc, err = run_with_document(
+        tmp_path, capsys, ["learn", "--data", READINGS, "--out",
+                           str(tmp_path / "net.json"), "--structure"], document)
+    assert rc == 2 and part in err and "runtime error" not in err
+    assert not (tmp_path / "net.json").exists()
+
+
+@pytest.mark.parametrize("document, part", [
+    ("[1, 2]", "document"),
+    ('{"bins": [10], "bounds": {}}', "'bins'"),
+    ('{"bins": 10, "bounds": []}', "'bounds'"),
+    ('{"bins": 10, "bounds": {"a": 5}}', "'bounds'")])
+def test_malformed_discretizer_is_an_input_error(tmp_path, capsys, document,
+                                                 part):
+    rc, err = run_with_document(
+        tmp_path, capsys, ["validate", "--network", NET, "--data", READINGS,
+                           "--discretizer"], document)
+    assert rc == 2 and part in err and "runtime error" not in err
+
+
 class TestSimulateAndCompare:
     def test_simulate_report(self, tmp_path):
         data = tmp_path / "rows.csv"

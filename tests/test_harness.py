@@ -4,6 +4,7 @@ import pytest
 import sensorval as sv
 from sensorval.detection import Discretizer
 from sensorval.harness import (Dataset, criterion_label, policy_comparison_csv)
+from conftest import FIXTURES
 
 
 def toy_structure():
@@ -278,6 +279,39 @@ class TestExperiments:
             assert ra.fault == rb.fault
             assert ra.declared == rb.declared
             assert ra.final_pf == rb.final_pf
+
+    @pytest.mark.parametrize("tree_file", [None, "reference_pruned.tree.json"])
+    def test_records_keep_only_final_beliefs(self, ref, small_test, tree_file):
+        crit = sv.DetectionCriterion("pvalue", 0.01)
+        tree = (None if tree_file is None
+                else sv.tree_from_json((FIXTURES / tree_file).read_text()))
+        records = sv.run_fault_experiments(
+            ref.net, ref.discretizer, ref.iso, tree, small_test, [crit])
+        lengths = []
+        for rec in records:
+            reading = small_test.row(rec.row_index)
+            if rec.fault is not None:
+                reading = sv.inject_fault(reading, rec.fault, ref.discretizer)
+            steps = list(sv.run_anytime_validation(
+                ref.net, ref.discretizer, ref.iso, tree, reading, crit))
+            assert rec.final_pf == steps[-1].pf
+            assert rec.trace == []
+            lengths.append(len(steps))
+        n = len(ref.iso.sensors)
+        if tree is None:
+            assert set(lengths) == {n}
+        else:
+            assert min(lengths) < n     # some pruned paths end early
+
+    def test_empty_tree_keeps_prior_beliefs(self, ref, small_test):
+        records = sv.run_fault_experiments(
+            ref.net, ref.discretizer, ref.iso, sv.tree_from_json("null"),
+            small_test, [sv.DetectionCriterion("sigma", 3.0)])
+        prior = sv.fault_belief(ref.iso, {})
+        assert len(records) == 33
+        for rec in records:
+            assert rec.final_pf == prior
+            assert rec.trace == []
 
     def test_declared_derives_from_final_pf(self, ref, small_test):
         crit = sv.DetectionCriterion("sigma", 3.0)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import sensorval as sv
+from sensorval import isolation
 from sensorval.inference import NoisyOrParams
 from sensorval.isolation import (IsolationNet, apparent_name,
                                  noisy_or_root_posteriors, root_name)
@@ -234,7 +235,7 @@ class TestNoisyOrPosteriors:
                 want = sv.posterior_marginal(ref_iso_net, ev, root_name(s))
                 assert pf[s] == pytest.approx(want.probabilities[1], abs=1e-9)
 
-    def test_enumeration_equals_elimination(self):
+    def test_enumeration_equals_elimination(self, monkeypatch):
         rng = np.random.default_rng(23)
         roots = [f"r{i}" for i in range(12)]
         parents_of = {}
@@ -246,12 +247,27 @@ class TestNoisyOrPosteriors:
             for p in pars:
                 strengths[(p, r)] = float(rng.uniform(0.3, 0.99))
         priors = {r: float(rng.uniform(0.2, 0.8)) for r in roots}
-        net = IsolationNet(tuple(roots), parents_of, NoisyOrParams(strengths),
-                           priors).compiled
-        faulty = net.mask(r for r in roots if rng.random() < 0.5)
+        iso = IsolationNet(tuple(roots), parents_of, NoisyOrParams(strengths),
+                           priors)
+        net = iso.compiled
+        faulty_roots = [r for r in roots if rng.random() < 0.5]
+        faulty = net.mask(faulty_roots)
         correct = net.mask(roots) & ~faulty
-        enum = noisy_or_root_posteriors(net, faulty, correct,
-                                        enumeration_limit=2 ** 20)
-        ve = noisy_or_root_posteriors(net, faulty, correct,
-                                      enumeration_limit=2)
-        np.testing.assert_allclose(enum, ve, rtol=0, atol=1e-9)
+        # 12 roots stay below the default limit, so this enumerates
+        enum = noisy_or_root_posteriors(net, faulty, correct)
+        # a limit of 2 sends every component of two or more roots through
+        # variable elimination
+        monkeypatch.setattr(isolation, "ENUMERATION_LIMIT", 2)
+        solves = []
+        solve = isolation._component_marginals_ve
+        monkeypatch.setattr(isolation, "_component_marginals_ve",
+                            lambda *args: solves.append(args) or solve(*args))
+        ve = noisy_or_root_posteriors(net, faulty, correct)
+        assert solves, "the patched limit did not reach the solver"
+        expanded = iso.to_bayes_net()
+        ev = {apparent_name(r): "faulty" if r in faulty_roots else "correct"
+              for r in roots}
+        want = [sv.posterior_marginal(expanded, ev, root_name(r)).probabilities[1]
+                for r in roots]
+        np.testing.assert_allclose(enum, want, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(ve, want, rtol=0, atol=1e-9)
