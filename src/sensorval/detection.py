@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Mapping, Sequence
@@ -43,9 +44,14 @@ class Discretizer:
     bounds: dict                       # sensor -> (lower, upper)
 
     def __post_init__(self):
+        if not isinstance(self.bins, numbers.Integral):
+            raise DiscretizerError(f"'bins' must be an integer, not {self.bins!r}")
         if self.bins < 2:
             raise DiscretizerError("need at least 2 intervals")
         for s, (lo, hi) in self.bounds.items():
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise DiscretizerError(f"sensor {s!r} has a non-finite bound in "
+                                       f"{[lo, hi]!r}")
             if not lo < hi:
                 raise DiscretizerError(f"zero-width range for sensor {s!r}")
 
@@ -82,7 +88,7 @@ def discretizer_to_json(d: Discretizer) -> str:
 def discretizer_from_json(document: str) -> Discretizer:
     doc = json_object(document, DiscretizerError)
     with malformed_part(DiscretizerError, "bins", "an integer"):
-        bins = int(doc["bins"])
+        bins = doc["bins"]
     with malformed_part(DiscretizerError, "bounds", "{sensor: [lower, upper]}"):
         bounds = {s: (float(lo), float(hi)) for s, (lo, hi) in doc["bounds"].items()}
     return Discretizer(bins, bounds)

@@ -1,20 +1,29 @@
 """Exact posterior marginals over discrete Bayesian networks.
 
-Two routes to the same numbers: variable elimination with a min-fill
-ordering (the fast path) and full joint enumeration (the testing oracle).
-Also provides the noisy-OR conditional model and the per-target
-elimination that the isolation network's solver falls back on for large
-coupled components.
+Two routes to the same numbers: variable elimination (the general engine)
+and full joint enumeration (the testing oracle). A factor is a
+``(variables, array)`` pair with one array axis per variable. One routine,
+``_marginal``, sums every non-target variable out of the product of the
+factors that mention it, in min-fill order, and multiplies what remains;
+``posterior_marginal`` feeds it a network's CPTs (barren variables dropped,
+evidence indexed out) and ``factor_marginals`` the isolation network's
+noisy-OR factors for coupled components too large to enumerate.
+Products are ``np.einsum`` calls over exactly two factors. einsum takes
+at most 32 operands (64 on numpy 2) and 52 distinct labels per call, so
+one call over a whole elimination step breaks at a hub with many
+children, and one over a whole network breaks on a long chain.
+Also provides the noisy-OR conditional model.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .model import BayesNet, UnknownVariableError
+from .model import BayesNet
 
 BRUTE_FORCE_LIMIT = 2 ** 24
 _EVIDENCE_EPS = 1e-300
@@ -38,54 +47,45 @@ class Distribution:
             raise ValueError(f"not a distribution over {self.name!r}: {p}")
 
 
-def _check_evidence(net: BayesNet, evidence: Mapping[str, str]):
-    return {name: net.state_index(name, state) for name, state in evidence.items()}
+def _query(net: BayesNet, evidence: Mapping[str, str], target: str) -> dict:
+    """Evidence as state indices, after checking every name of the query."""
+    ev_idx = {name: net.state_index(name, state) for name, state in evidence.items()}
+    net.variable(target)
+    if target in ev_idx:
+        raise ValueError(f"target {target!r} is already observed")
+    return ev_idx
 
 
-# --- factors ---------------------------------------------------------------
-
-class _Factor:
-    __slots__ = ("vars", "values")
-
-    def __init__(self, variables: tuple[str, ...], values: np.ndarray):
-        self.vars = variables
-        self.values = values
-
-    def multiply(self, other: "_Factor") -> "_Factor":
-        out_vars = self.vars + tuple(v for v in other.vars if v not in self.vars)
-        a = self.values.reshape(self.values.shape + (1,) * (len(out_vars) - len(self.vars)))
-        order = sorted(range(len(other.vars)),
-                       key=lambda i: out_vars.index(other.vars[i]))
-        shape = [other.values.shape[other.vars.index(v)] if v in other.vars else 1
-                 for v in out_vars]
-        b = np.transpose(other.values, order).reshape(shape)
-        return _Factor(out_vars, a * b)
-
-    def marginalize(self, name: str) -> "_Factor":
-        axis = self.vars.index(name)
-        out_vars = self.vars[:axis] + self.vars[axis + 1:]
-        return _Factor(out_vars, self.values.sum(axis=axis))
-
-    def reduce(self, name: str, index: int) -> "_Factor":
-        axis = self.vars.index(name)
-        out_vars = self.vars[:axis] + self.vars[axis + 1:]
-        return _Factor(out_vars, np.take(self.values, index, axis=axis))
+def _normalized(values: np.ndarray, message: str) -> np.ndarray:
+    total = values.sum()
+    if total <= _EVIDENCE_EPS:
+        raise InconsistentEvidenceError(message)
+    return values / total
 
 
-def _cpt_factor(net: BayesNet, name: str) -> _Factor:
+# --- variable elimination --------------------------------------------------
+
+def _cpt_factor(net: BayesNet, name: str) -> tuple[tuple, np.ndarray]:
     cpt = net.cpts[name]
     cards = [net.cardinality(p) for p in cpt.parents] + [net.cardinality(name)]
-    values = cpt.table.reshape(cards)
-    return _Factor(tuple(cpt.parents) + (name,), values)
+    return tuple(cpt.parents) + (name,), cpt.table.reshape(cards)
 
 
-def _min_fill_order(factors: Sequence[_Factor], eliminate: set[str]) -> list[str]:
+def _multiply(a: tuple, b: tuple) -> tuple[tuple, np.ndarray]:
+    (a_vars, a_values), (b_vars, b_values) = a, b
+    out = a_vars + tuple(v for v in b_vars if v not in a_vars)
+    label = {v: i for i, v in enumerate(out)}
+    return out, np.einsum(a_values, [label[v] for v in a_vars],
+                          b_values, [label[v] for v in b_vars], list(label.values()))
+
+
+def _min_fill_order(factors: Sequence[tuple], eliminate: set[str]) -> list[str]:
     # Greedy min-fill on the interaction graph, lexicographic tie-break.
     neighbors: dict[str, set[str]] = {v: set() for v in eliminate}
-    for f in factors:
-        for v in f.vars:
+    for variables, _ in factors:
+        for v in variables:
             if v in eliminate:
-                neighbors[v].update(u for u in f.vars if u != v)
+                neighbors[v].update(u for u in variables if u != v)
     order = []
     remaining = set(eliminate)
     while remaining:
@@ -109,42 +109,27 @@ def _min_fill_order(factors: Sequence[_Factor], eliminate: set[str]) -> list[str
     return order
 
 
-def _drop_barren(net: BayesNet, keep: set[str]) -> list[str]:
-    # Unobserved leaves outside `keep` integrate to one; prune them repeatedly.
-    children = {n: set(net.children(n)) for n in net.names()}
-    alive = set(net.names())
-    changed = True
-    while changed:
-        changed = False
-        for n in sorted(alive):
-            if n in keep:
-                continue
-            if not (children[n] & alive):
-                alive.discard(n)
-                changed = True
-    return [n for n in net.names() if n in alive]
-
-
-def _sum_out(factors: list[_Factor], eliminate: set) -> list[_Factor]:
-    """Sum every variable in ``eliminate`` out of the factor product, in
-    min-fill order."""
+def _marginal(factors: list[tuple], target) -> np.ndarray:
+    """Unnormalized marginal of ``target`` under the product of ``factors``."""
+    eliminate = {v for variables, _ in factors for v in variables} - {target}
     for name in _min_fill_order(factors, eliminate):
-        related = [f for f in factors if name in f.vars]
-        if not related:
-            continue
-        product = related[0]
-        for f in related[1:]:
-            product = product.multiply(f)
-        factors = [f for f in factors if name not in f.vars]
-        factors.append(product.marginalize(name))
-    return factors
+        variables, values = reduce(_multiply, [f for f in factors if name in f[0]])
+        factors = [f for f in factors if name not in f[0]]
+        axis = variables.index(name)
+        factors.append((variables[:axis] + variables[axis + 1:], values.sum(axis=axis)))
+    return reduce(_multiply, factors, ((), np.array(1.0)))[1]
 
 
-def _product(factors: Sequence[_Factor]) -> _Factor:
-    result = _Factor((), np.array(1.0))
-    for f in factors:
-        result = result.multiply(f)
-    return result
+def _ancestral(net: BayesNet, names: set) -> list[str]:
+    """``names`` and their ancestors in network order; every other variable
+    is barren (an unobserved descendant) and integrates to one."""
+    keep, stack = set(), list(names)
+    while stack:
+        name = stack.pop()
+        if name not in keep:
+            keep.add(name)
+            stack.extend(net.parents(name))
+    return [n for n in net.names() if n in keep]
 
 
 def factor_marginals(factors: Sequence[tuple[tuple, np.ndarray]],
@@ -155,16 +140,10 @@ def factor_marginals(factors: Sequence[tuple[tuple, np.ndarray]],
 
     Raises InconsistentEvidenceError when the product sums to zero.
     """
-    factors = [_Factor(tuple(v), np.asarray(values)) for v, values in factors]
-    names = {v for f in factors for v in f.vars}
-    result = {}
-    for target in targets:
-        values = _product(_sum_out(factors, names - {target})).values
-        z = values.sum()
-        if z <= _EVIDENCE_EPS:
-            raise InconsistentEvidenceError("findings have probability zero")
-        result[target] = values / z
-    return result
+    factors = [(tuple(v), np.asarray(values)) for v, values in factors]
+    return {target: _normalized(_marginal(factors, target),
+                                "findings have probability zero")
+            for target in targets}
 
 
 def posterior_marginal(net: BayesNet, evidence: Mapping[str, str],
@@ -174,37 +153,21 @@ def posterior_marginal(net: BayesNet, evidence: Mapping[str, str],
     Raises InconsistentEvidenceError when the evidence has zero probability,
     UnknownVariableError for names or states not in the network.
     """
-    ev_idx = _check_evidence(net, evidence)
-    net.variable(target)
-    if target in ev_idx:
-        raise ValueError(f"target {target!r} is already observed")
-    alive = _drop_barren(net, keep=set(ev_idx) | {target})
+    ev_idx = _query(net, evidence, target)
     factors = []
-    for name in alive:
-        f = _cpt_factor(net, name)
-        for ev_name, idx in ev_idx.items():
-            if ev_name in f.vars:
-                f = f.reduce(ev_name, idx)
-        factors.append(f)
-    eliminate = {n for n in alive if n != target and n not in ev_idx}
-    result = _product(_sum_out(factors, eliminate))
-    if result.vars != (target,):
-        result = _Factor((target,), result.values.reshape(net.cardinality(target)))
-    total = result.values.sum()
-    if total <= _EVIDENCE_EPS:
-        raise InconsistentEvidenceError(
-            f"evidence {dict(evidence)!r} has probability zero"
-        )
-    return Distribution(target, result.values / total)
+    for name in _ancestral(net, {*ev_idx, target}):
+        variables, values = _cpt_factor(net, name)
+        factors.append((tuple(v for v in variables if v not in ev_idx),
+                        values[tuple(ev_idx.get(v, slice(None)) for v in variables)]))
+    return Distribution(target, _normalized(
+        _marginal(factors, target),
+        f"evidence {dict(evidence)!r} has probability zero"))
 
 
 def brute_force_posterior(net: BayesNet, evidence: Mapping[str, str],
                           target: str) -> Distribution:
     """P(target | evidence) by full joint enumeration. Testing oracle only."""
-    ev_idx = _check_evidence(net, evidence)
-    net.variable(target)
-    if target in ev_idx:
-        raise ValueError(f"target {target!r} is already observed")
+    ev_idx = _query(net, evidence, target)
     names = net.names()
     cards = [net.cardinality(n) for n in names]
     size = int(np.prod(cards, dtype=float))
@@ -217,22 +180,18 @@ def brute_force_posterior(net: BayesNet, evidence: Mapping[str, str],
     log_joint = np.zeros(cards)
     with np.errstate(divide="ignore"):
         for name in names:
-            f = _cpt_factor(net, name)
-            shape = [cards[axis[v]] if v in f.vars else 1 for v in names]
-            perm = sorted(range(len(f.vars)), key=lambda i: axis[f.vars[i]])
-            values = np.transpose(f.values, perm).reshape(shape)
+            variables, values = _cpt_factor(net, name)
+            shape = [cards[axis[v]] if v in variables else 1 for v in names]
+            perm = sorted(range(len(variables)), key=lambda i: axis[variables[i]])
+            values = np.transpose(values, perm).reshape(shape)
             log_joint = log_joint + np.log(values)
     joint = np.exp(log_joint - log_joint.max())
     for name, idx in ev_idx.items():
         joint = np.take(joint, [idx], axis=axis[name])
     other_axes = tuple(axis[n] for n in names if n != target)
     marginal = joint.sum(axis=other_axes).reshape(net.cardinality(target))
-    total = marginal.sum()
-    if total <= _EVIDENCE_EPS:
-        raise InconsistentEvidenceError(
-            f"evidence {dict(evidence)!r} has probability zero"
-        )
-    return Distribution(target, marginal / total)
+    return Distribution(target, _normalized(
+        marginal, f"evidence {dict(evidence)!r} has probability zero"))
 
 
 # --- noisy-OR --------------------------------------------------------------

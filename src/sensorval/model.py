@@ -269,15 +269,24 @@ def json_object(document: str, error: type) -> dict:
     return doc
 
 
+def _name(value) -> str:
+    """``value`` if it is a string; read inside ``malformed_part``."""
+    if not isinstance(value, str):
+        raise TypeError(f"{value!r} is not a string")
+    return value
+
+
 def load_network(document: str) -> BayesNet:
     """Parse a network JSON document; raises NetworkError subclasses on defects."""
     doc = json_object(document, NetworkError)
     with malformed_part(NetworkError, "variables", "a list of {name, states}"):
-        variables = [Variable(v["name"], tuple(v["states"])) for v in doc["variables"]]
+        variables = [Variable(_name(v["name"]), tuple(map(_name, v["states"])))
+                     for v in doc["variables"]]
     with malformed_part(NetworkError, "edges", "a list of [parent, child]"):
-        edges = [(p, c) for p, c in doc["edges"]]
+        edges = [(_name(p), _name(c)) for p, c in doc["edges"]]
     with malformed_part(NetworkError, "cpts", "{child: {parents, table}}"):
-        cpts = {c: Cpt(c, tuple(e["parents"]), np.asarray(e["table"], dtype=float))
+        cpts = {c: Cpt(c, tuple(map(_name, e["parents"])),
+                       np.asarray(e["table"], dtype=float))
                 for c, e in doc["cpts"].items()}
     return BayesNet(variables, edges, cpts)
 
@@ -294,8 +303,8 @@ def save_structure(structure: NetworkStructure) -> str:
 def load_structure(document: str) -> NetworkStructure:
     doc = json_object(document, NetworkError)
     with malformed_part(NetworkError, "variables", "a list of names"):
-        sensors = tuple(v["name"] if isinstance(v, dict) else v
+        sensors = tuple(_name(v["name"] if isinstance(v, dict) else v)
                         for v in doc["variables"])
     with malformed_part(NetworkError, "edges", "a list of [parent, child]"):
-        edges = tuple((p, c) for p, c in doc["edges"])
+        edges = tuple((_name(p), _name(c)) for p, c in doc["edges"])
     return NetworkStructure(doc.get("name", "structure"), sensors, edges)

@@ -255,7 +255,18 @@ def run_with_document(tmp_path, capsys, argv, document):
     ('{"variables": [], "edges": 5, "cpts": {}}', "'edges'"),
     ('{"variables": [], "edges": [], "cpts": []}', "'cpts'"),
     ('{"variables": [], "edges": [], "cpts": {"x": 5}}', "'cpts'"),
-    ("null", "document")])
+    ("null", "document"),
+    # names that are not strings
+    ('{"variables": [{"name": ["x"], "states": ["0", "1"]}], "edges": [],'
+     ' "cpts": {}}', "'variables'"),
+    ('{"variables": [{"name": "m", "states": ["0", "1"]},'
+     ' {"name": "t", "states": ["0", "1"]}], "edges": [[["m"], "t"]],'
+     ' "cpts": {}}', "'edges'"),
+    ('{"variables": [{"name": "m", "states": ["0", "1"]},'
+     ' {"name": "t", "states": ["0", "1"]}], "edges": [["m", "t"]],'
+     ' "cpts": {"m": {"parents": [], "table": [[0.5, 0.5]]},'
+     ' "t": {"parents": [["m"]], "table": [[0.5, 0.5], [0.5, 0.5]]}}}',
+     "'cpts'")])
 def test_malformed_network_is_an_input_error(tmp_path, capsys, document, part):
     rc, err = run_with_document(
         tmp_path, capsys, ["validate", "--discretizer", DISC, "--data",
@@ -266,7 +277,8 @@ def test_malformed_network_is_an_input_error(tmp_path, capsys, document, part):
 @pytest.mark.parametrize("document, part", [
     ('{"variables": 5, "edges": []}', "'variables'"),
     ('{"variables": ["a"], "edges": [5]}', "'edges'"),
-    ("5", "document")])
+    ("5", "document"),
+    ('{"variables": [["a"]], "edges": []}', "'variables'")])
 def test_malformed_structure_is_an_input_error(tmp_path, capsys, document,
                                                part):
     rc, err = run_with_document(
@@ -280,7 +292,10 @@ def test_malformed_structure_is_an_input_error(tmp_path, capsys, document,
     ("[1, 2]", "document"),
     ('{"bins": [10], "bounds": {}}', "'bins'"),
     ('{"bins": 10, "bounds": []}', "'bounds'"),
-    ('{"bins": 10, "bounds": {"a": 5}}', "'bounds'")])
+    ('{"bins": 10, "bounds": {"a": 5}}', "'bounds'"),
+    ('{"bins": 2.7, "bounds": {"a": [0, 1]}}', "'bins'"),
+    ('{"bins": 10, "bounds": {"a": [0, Infinity]}}', "sensor 'a'"),
+    ('{"bins": 10, "bounds": {"a": [-Infinity, Infinity]}}', "sensor 'a'")])
 def test_malformed_discretizer_is_an_input_error(tmp_path, capsys, document,
                                                  part):
     rc, err = run_with_document(

@@ -41,6 +41,17 @@ class TestDiscretizer:
         with pytest.raises(DiscretizerError):
             Discretizer(1, {"s": (0.0, 1.0)})
 
+    @pytest.mark.parametrize("bins", [2.7, 10.0, "10", None])
+    def test_bins_must_be_an_integer(self, bins):
+        with pytest.raises(DiscretizerError, match="'bins' must be an integer"):
+            Discretizer(bins, {"s": (0.0, 1.0)})
+
+    @pytest.mark.parametrize("bounds", [(0.0, math.inf), (-math.inf, math.inf),
+                                        (-math.inf, 1.0), (math.nan, 1.0)])
+    def test_bounds_must_be_finite(self, bounds):
+        with pytest.raises(DiscretizerError, match="sensor 's' has a non-finite"):
+            Discretizer(10, {"s": bounds})
+
     def test_json_round_trip(self, ref):
         doc = sv.discretizer_to_json(ref.discretizer)
         again = sv.discretizer_from_json(doc)

@@ -141,6 +141,59 @@ class TestPosteriorMarginal:
                                        atol=1e-9)
 
 
+def star_net(rng, n_children):
+    """A binary root ``r`` with ``n_children`` binary children; returns the
+    network, the root prior and each child's P(child | root) matrix."""
+    children = [f"c{i:02d}" for i in range(n_children)]
+    prior = np.array([0.3, 0.7])
+    tables = [np.column_stack([1 - p, p])
+              for p in rng.uniform(0.2, 0.8, size=(n_children, 2))]
+    variables = [sv.Variable(n, ("0", "1")) for n in ["r", *children]]
+    cpts = {"r": sv.Cpt("r", (), prior[None, :])}
+    cpts.update({c: sv.Cpt(c, ("r",), t) for c, t in zip(children, tables)})
+    net = sv.BayesNet(variables, [("r", c) for c in children], cpts)
+    return net, prior, tables
+
+
+class TestEngineLimits:
+    """Shapes that one einsum call per elimination step, or per network,
+    could not take: more operands or more labels than einsum accepts."""
+
+    def test_root_of_a_wide_star(self):
+        rng = np.random.default_rng(70)
+        net, prior, tables = star_net(rng, 70)
+        bits = rng.integers(0, 2, size=70)
+        evidence = {f"c{i:02d}": str(b) for i, b in enumerate(bits)}
+        want = prior * np.prod([t[:, b] for t, b in zip(tables, bits)], axis=0)
+        got = sv.posterior_marginal(net, evidence, "r").probabilities
+        np.testing.assert_allclose(got, want / want.sum(), rtol=0, atol=1e-12)
+
+    def test_child_of_a_wide_star(self):
+        # eliminating the root takes the product of 71 factors that share it
+        rng = np.random.default_rng(71)
+        net, prior, tables = star_net(rng, 70)
+        bits = rng.integers(0, 2, size=70)
+        evidence = {f"c{i:02d}": str(b) for i, b in enumerate(bits) if i != 0}
+        root = prior * np.prod([t[:, b] for t, b in
+                                zip(tables[1:], bits[1:])], axis=0)
+        want = (root / root.sum()) @ tables[0]
+        got = sv.posterior_marginal(net, evidence, "c00").probabilities
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_end_of_a_long_chain(self):
+        names = [f"x{i:02d}" for i in range(60)]
+        step = np.array([[0.9, 0.1], [0.25, 0.75]])
+        variables = [sv.Variable(n, ("0", "1")) for n in names]
+        cpts = {names[0]: sv.Cpt(names[0], (), np.array([[0.5, 0.5]]))}
+        cpts.update({c: sv.Cpt(c, (p,), step) for p, c in zip(names, names[1:])})
+        net = sv.BayesNet(variables, list(zip(names, names[1:])), cpts)
+        want = np.linalg.matrix_power(step, 59)
+        for first in ("0", "1"):
+            got = sv.posterior_marginal(net, {"x00": first}, "x59").probabilities
+            np.testing.assert_allclose(got, want[int(first)], rtol=0,
+                                       atol=1e-12)
+
+
 class TestBruteForce:
     def test_single_node_prior(self):
         net = make_net([sv.Variable("x", ("a", "b"))], [],
