@@ -10,13 +10,13 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .detection import DetectionCriterion, Discretizer, validate_sensor
 from .isolation import (CORRECT, FAULTY, IsolationNet, candidate_scores,
                         fault_belief)
-from .model import BayesNet, EmbTable
+from .model import BayesNet, EmbTable, _name
 
 
 def binary_entropy(p: float) -> float:
@@ -100,37 +100,32 @@ class DecisionTree:
 
     root: TreeNode | None
 
+    def _walk(self) -> Iterator[tuple[TreeNode, tuple[str, ...]]]:
+        """Each node and the sensors above it; pre-order, faulty branch first."""
+        stack = [(self.root, ())]
+        while stack:
+            node, above = stack.pop()
+            if node is not None:
+                yield node, above
+                below = above + (node.sensor,)
+                stack += ((node.ok, below), (node.faulty, below))
+
     def node_count(self) -> int:
-        def count(node):
-            if node is None:
-                return 0
-            return 1 + count(node.faulty) + count(node.ok)
-        return count(self.root)
+        return sum(1 for _ in self._walk())
 
     def depth(self) -> int:
-        def depth(node):
-            if node is None:
-                return 0
-            return 1 + max(depth(node.faulty), depth(node.ok))
-        return depth(self.root)
+        return max((len(above) + 1 for _, above in self._walk()), default=0)
 
     def check(self, sensors: Iterable[str]) -> None:
         """Raise ValueError naming the first node whose sensor is not among
         ``sensors`` or is already validated higher on its path."""
         known = set(sensors)
-
-        def walk(node, above):
-            if node is None:
-                return
+        for node, above in self._walk():
             if node.sensor not in known:
                 raise ValueError(f"tree names unknown sensor {node.sensor!r}")
             if node.sensor in above:
                 raise ValueError(
                     f"tree validates sensor {node.sensor!r} twice on one path")
-            above = above | {node.sensor}
-            walk(node.faulty, above)
-            walk(node.ok, above)
-        walk(self.root, frozenset())
 
     def paths(self) -> Iterator[list[tuple[str, str]]]:
         """All complete root-to-leaf outcome paths as (sensor, status) lists."""
@@ -146,21 +141,20 @@ class DecisionTree:
 
 
 def tree_to_json(tree: DecisionTree) -> str:
-    def encode(node):
-        if node is None:
-            return None
-        return {"sensor": node.sensor,
-                "faulty": encode(node.faulty),
-                "ok": encode(node.ok)}
-    return json.dumps(encode(tree.root), indent=1)
+    return json.dumps(tree.root and asdict(tree.root), indent=1)
 
 
 def tree_from_json(document: str) -> DecisionTree:
+    """Parse a tree document; ValueError unless it is null or nested
+    {"sensor", "faulty", "ok"} objects whose sensors are strings."""
     def decode(obj):
-        if obj is None:
-            return None
-        return TreeNode(obj["sensor"], decode(obj["faulty"]), decode(obj["ok"]))
-    return DecisionTree(decode(json.loads(document)))
+        return None if obj is None else TreeNode(
+            _name(obj["sensor"]), decode(obj["faulty"]), decode(obj["ok"]))
+    try:
+        return DecisionTree(decode(json.loads(document)))
+    except (KeyError, TypeError, RecursionError) as exc:
+        raise ValueError('not nested {"sensor", "faulty", "ok"} objects '
+                         f"({exc!r})") from None
 
 
 def single_fault_consistent(outcomes: Mapping[str, str], emb: EmbTable) -> bool:
@@ -168,13 +162,25 @@ def single_fault_consistent(outcomes: Mapping[str, str], emb: EmbTable) -> bool:
     either nothing is faulty, or some sensor's EMB covers every faulty
     observation without touching a correct one."""
     faulty = {s for s, st in outcomes.items() if st == FAULTY}
-    if not faulty:
-        return True
     correct = {s for s, st in outcomes.items() if st == CORRECT}
-    for r in emb:
-        if faulty <= emb[r] and not (correct & emb[r]):
-            return True
-    return False
+    return not faulty or any(faulty <= blanket and not correct & blanket
+                             for blanket in emb.values())
+
+
+def _grow(pick: Callable, emb: EmbTable | None, findings: dict,
+          node: TreeNode | None) -> TreeNode | None:
+    """The subtree reached by ``findings``; None where ``emb`` is given and
+    no single fault explains the findings, or where ``pick(findings, node)``
+    names no sensor. ``node`` sits at this position in an existing tree."""
+    if emb is not None and not single_fault_consistent(findings, emb):
+        return None
+    sensor = pick(findings, node)
+    if sensor is None:
+        return None
+    return TreeNode(
+        sensor,
+        _grow(pick, emb, {**findings, sensor: FAULTY}, node and node.faulty),
+        _grow(pick, emb, {**findings, sensor: CORRECT}, node and node.ok))
 
 
 def compile_decision_tree(iso: IsolationNet,
@@ -185,48 +191,17 @@ def compile_decision_tree(iso: IsolationNet,
     are never expanded; the result is identical to compiling the full tree
     and then pruning it, but stays buildable for larger sensor sets.
     """
-    def build(findings, unvalidated):
-        if not unvalidated:
-            return None
-        sensor = select_next_sensor(iso, findings, unvalidated)
-        node = TreeNode(sensor)
-        remaining = unvalidated - {sensor}
-        for status in (FAULTY, CORRECT):
-            branch = dict(findings)
-            branch[sensor] = status
-            if emb is not None and not single_fault_consistent(branch, emb):
-                child = None
-            else:
-                child = build(branch, remaining)
-            if status == FAULTY:
-                node.faulty = child
-            else:
-                node.ok = child
-        return node
+    def pick(findings, _node):
+        rest = set(iso.sensors) - findings.keys()
+        return select_next_sensor(iso, findings, rest) if rest else None
 
-    return DecisionTree(build({}, set(iso.sensors)))
+    return DecisionTree(_grow(pick, emb, {}, None))
 
 
 def prune_single_fault(tree: DecisionTree, emb: EmbTable) -> DecisionTree:
     """Cut every branch whose outcome set no single-fault hypothesis explains."""
-    def prune(node, outcomes):
-        if node is None:
-            return None
-        out = TreeNode(node.sensor)
-        for status, child in ((FAULTY, node.faulty), (CORRECT, node.ok)):
-            branch = dict(outcomes)
-            branch[node.sensor] = status
-            if single_fault_consistent(branch, emb):
-                pruned = prune(child, branch)
-            else:
-                pruned = None
-            if status == FAULTY:
-                out.faulty = pruned
-            else:
-                out.ok = pruned
-        return out
-
-    return DecisionTree(prune(tree.root, {}))
+    return DecisionTree(_grow(lambda _findings, node: node and node.sensor,
+                              emb, {}, tree.root))
 
 
 # --- the validation cycle ---------------------------------------------------

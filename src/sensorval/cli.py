@@ -53,12 +53,8 @@ def _load_tree(args, iso) -> anytime.DecisionTree | None:
     try:
         tree = anytime.tree_from_json(document)
         tree.check(iso.sensors)
-    except ValueError as exc:            # JSON syntax or a bad sensor
+    except ValueError as exc:            # a malformed document or a bad sensor
         raise InputError(f"decision tree {args.tree}: {exc}") from None
-    except (KeyError, TypeError, RecursionError) as exc:
-        raise InputError(f"decision tree {args.tree} is not nested "
-                         f'{{"sensor", "faulty", "ok"}} objects ({exc!r})'
-                         ) from None
     return tree
 
 

@@ -56,10 +56,18 @@ class Discretizer:
                 raise DiscretizerError(f"zero-width range for sensor {s!r}")
 
     def index(self, sensor: str, x: float) -> int:
-        """Interval index of x; out-of-range values clamp to the edge intervals."""
+        """Interval index of x; out-of-range values, however large, clamp to
+        the edge intervals."""
         lo, hi = self.bounds[sensor]
-        k = math.floor(self.bins * (x - lo) / (hi - lo))
-        return min(max(k, 0), self.bins - 1)
+        t = self.bins * (x - lo) / (hi - lo)
+        return int(min(max(t, 0.0), self.bins - 1.0))
+
+    def _index_array(self, sensor: str, xs: np.ndarray) -> np.ndarray:
+        """``index`` of every reading in ``xs``, for learning from columns."""
+        lo, hi = self.bounds[sensor]
+        with np.errstate(over="ignore"):     # huge readings clamp below
+            t = self.bins * (xs - lo) / (hi - lo)
+        return np.clip(t, 0.0, self.bins - 1.0).astype(np.intp)
 
     def midpoints(self, sensor: str) -> np.ndarray:
         """Interval midpoints of the sensor, computed once (read-only)."""

@@ -39,6 +39,9 @@ class Dataset:
         object.__setattr__(self, "sensors", tuple(self.sensors))
         if values.ndim != 2 or values.shape[1] != len(self.sensors):
             raise ValueError("dataset is not rectangular over the header")
+        for i, s in enumerate(self.sensors):
+            if s in self.sensors[:i]:
+                raise ValueError(f"column {s!r} appears twice")
         if not np.all(np.isfinite(values)):
             raise ValueError("dataset contains non-finite values")
 
@@ -134,12 +137,8 @@ def learn_parameters(structure: NetworkStructure, d: Discretizer,
     if missing:
         raise KeyError(f"training data is missing columns {missing}")
     b = d.bins
-    col = {s: train.sensors.index(s) for s in structure.sensors}
-    codes = {}
-    for s in structure.sensors:
-        lo, hi = d.bounds[s]
-        k = np.floor(b * (train.values[:, col[s]] - lo) / (hi - lo)).astype(int)
-        codes[s] = np.clip(k, 0, b - 1)
+    codes = {s: d._index_array(s, train.values[:, train.sensors.index(s)])
+             for s in structure.sensors}
     variables = [Variable(s, d.states()) for s in structure.sensors]
     cpts = {}
     for s in structure.sensors:

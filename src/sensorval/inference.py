@@ -80,29 +80,26 @@ def _multiply(a: tuple, b: tuple) -> tuple[tuple, np.ndarray]:
 
 
 def _min_fill_order(factors: Sequence[tuple], eliminate: set[str]) -> list[str]:
-    # Greedy min-fill on the interaction graph, lexicographic tie-break.
-    neighbors: dict[str, set[str]] = {v: set() for v in eliminate}
+    # Greedy min-fill on the interaction graph, ties broken by name. Every
+    # variable of the factors has a neighbour set, so a pair's fill does not
+    # depend on which end is looked up.
+    neighbors: dict[str, set[str]] = {}
     for variables, _ in factors:
         for v in variables:
-            if v in eliminate:
-                neighbors[v].update(u for u in variables if u != v)
+            neighbors.setdefault(v, set()).update(u for u in variables if u != v)
+
+    def fill(v):
+        nbrs = list(neighbors[v])
+        return sum(b not in neighbors[a]
+                   for i, a in enumerate(nbrs) for b in nbrs[i + 1:])
+
     order = []
     remaining = set(eliminate)
     while remaining:
-        best = None
-        for v in sorted(remaining):
-            nbrs = [u for u in neighbors[v] if u in remaining or u not in eliminate]
-            fill = 0
-            for i, a in enumerate(nbrs):
-                for b in nbrs[i + 1:]:
-                    if b not in neighbors.get(a, ()):
-                        fill += 1
-            if best is None or fill < best[0]:
-                best = (fill, v)
-        v = best[1]
+        v = min(remaining, key=lambda v: (fill(v), v))
         order.append(v)
         remaining.discard(v)
-        nbrs = {u for u in neighbors[v] if u in remaining}
+        nbrs = neighbors.pop(v)
         for a in nbrs:
             neighbors[a].update(nbrs - {a})
             neighbors[a].discard(v)

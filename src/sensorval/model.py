@@ -84,6 +84,14 @@ class Cpt:
             )
 
 
+def _refuse_repeated_edges(edges: Iterable[tuple[str, str]]) -> None:
+    seen = set()
+    for p, c in edges:
+        if (p, c) in seen:
+            raise NetworkError(f"edge {p!r} -> {c!r} is listed twice")
+        seen.add((p, c))
+
+
 class BayesNet:
     """An immutable discrete Bayesian network."""
 
@@ -107,14 +115,19 @@ class BayesNet:
             self._parents[c].append(p)
             self._children[p].append(c)
         self._check_acyclic()
+        _refuse_repeated_edges(self.edges)
         # sensor -> detection.BlanketKernel, filled by detection on first use
         self.blanket_kernels: dict = {}
         self.cpts = dict(cpts)
+        for name in self.cpts:
+            if name not in self._vars:
+                raise CptError(f"CPT for undeclared variable {name!r}")
         for name in names:
             cpt = self.cpts.get(name)
             if cpt is None:
                 raise CptError(f"missing CPT for {name!r}")
-            if set(cpt.parents) != set(self._parents[name]):
+            if (set(cpt.parents) != set(self._parents[name])
+                    or len(cpt.parents) != len(self._parents[name])):
                 raise CptError(
                     f"CPT parents {cpt.parents} for {name!r} do not match "
                     f"graph parents {tuple(self._parents[name])}"
@@ -229,6 +242,7 @@ class NetworkStructure:
         for p, c in self.edges:
             if p not in known or c not in known:
                 raise UnknownVariableError(p if p not in known else c)
+        _refuse_repeated_edges(self.edges)
 
     def parents_of(self, sensor: str) -> tuple[str, ...]:
         return tuple(p for p, c in self.edges if c == sensor)

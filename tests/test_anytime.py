@@ -319,6 +319,16 @@ class TestGoldenTrees:
         assert sv.tree_to_json(tree) == (
             FIXTURES / "tree21_pvalue001.tree.json").read_text()
 
+    def test_pruning_the_stored_full_tree(self):
+        # compile and prune grow trees through one recursion, so prune is
+        # pinned against a stored tree rather than against compile
+        net = sv.load_network((FIXTURES / "reference_net.json").read_text())
+        full = sv.tree_from_json(
+            (FIXTURES / "reference_full.tree.json").read_text())
+        pruned = sv.prune_single_fault(full, sv.emb_table(net))
+        assert sv.tree_to_json(pruned) == (
+            FIXTURES / "reference_pruned.tree.json").read_text()
+
 
 class TestTreeCheck:
     def test_compiled_tree_passes(self, ref_iso):
@@ -337,6 +347,20 @@ class TestTreeCheck:
         with pytest.raises(ValueError, match="'t' twice on one path"):
             tree.check(["t", "m"])
 
+    def test_first_bad_node_in_pre_order_is_named(self):
+        tree = sv.DecisionTree(TreeNode("t", TreeNode("m", TreeNode("zz")),
+                                        TreeNode("yy")))
+        with pytest.raises(ValueError, match="unknown sensor 'zz'"):
+            tree.check(["t", "m"])
+
+    def test_deep_tree_is_walked(self):
+        root = None
+        for i in range(5000):
+            root = TreeNode(f"s{i}", None, root)
+        tree = sv.DecisionTree(root)
+        assert tree.node_count() == tree.depth() == 5000
+        tree.check(f"s{i}" for i in range(5000))
+
 
 class TestTreeJson:
     def test_round_trip(self, ref_iso):
@@ -350,6 +374,20 @@ class TestTreeJson:
         doc = json.loads(sv.tree_to_json(tree))
         assert doc == {"sensor": "s", "faulty": None,
                        "ok": {"sensor": "u", "faulty": None, "ok": None}}
+
+    def test_empty_tree(self):
+        assert sv.tree_to_json(sv.tree_from_json("null")) == "null"
+
+    @pytest.mark.parametrize("document", [
+        "{", "[1, 2]", '"t"', '{"sensor": "t"}',
+        '{"sensor": ["t"], "faulty": null, "ok": null}',
+        '{"sensor": 5, "faulty": null, "ok": null}',
+        '{"sensor": "t", "faulty": ' * 3000 + "null" + ', "ok": null}' * 3000],
+        ids=["syntax", "list", "string", "no-branches", "list-sensor",
+             "number-sensor", "too-deep"])
+    def test_malformed_document_is_a_value_error(self, document):
+        with pytest.raises(ValueError):
+            sv.tree_from_json(document)
 
 
 class TestRunAnytimeValidation:

@@ -224,6 +224,8 @@ def test_bad_tree_is_an_input_error(tmp_path, capsys, command):
 
 @pytest.mark.parametrize("document", [
     "[1, 2]", '{"sensor": "t"}', "{", "null",
+    '{"sensor": ["t"], "faulty": null, "ok": null}',
+    '{"sensor": 5, "faulty": null, "ok": null}',
     '{"sensor": "t", "faulty": ' * 3000 + "null" + ', "ok": null}' * 3000])
 def test_malformed_tree_is_an_input_error(tmp_path, capsys, document):
     path = tmp_path / "tree.json"
@@ -249,6 +251,13 @@ def run_with_document(tmp_path, capsys, argv, document):
     return rc, capsys.readouterr().err
 
 
+def reference_net_with(change) -> str:
+    """The reference network document after ``change`` edits it in place."""
+    doc = json.loads(Path(NET).read_text())
+    change(doc)
+    return json.dumps(doc)
+
+
 @pytest.mark.parametrize("document, part", [
     ('{"variables": 5, "edges": [], "cpts": {}}', "'variables'"),
     ('{"variables": [5], "edges": [], "cpts": {}}', "'variables'"),
@@ -266,7 +275,13 @@ def run_with_document(tmp_path, capsys, argv, document):
      ' {"name": "t", "states": ["0", "1"]}], "edges": [["m", "t"]],'
      ' "cpts": {"m": {"parents": [], "table": [[0.5, 0.5]]},'
      ' "t": {"parents": [["m"]], "table": [[0.5, 0.5], [0.5, 0.5]]}}}',
-     "'cpts'")])
+     "'cpts'"),
+    pytest.param(
+        reference_net_with(lambda doc: doc["edges"].append(["m", "t"])),
+        "edge 'm' -> 't' is listed twice", id="repeated-edge"),
+    pytest.param(
+        reference_net_with(lambda doc: doc["cpts"].update(zz=doc["cpts"]["m"])),
+        "undeclared variable 'zz'", id="stray-cpt")])
 def test_malformed_network_is_an_input_error(tmp_path, capsys, document, part):
     rc, err = run_with_document(
         tmp_path, capsys, ["validate", "--discretizer", DISC, "--data",
@@ -278,7 +293,9 @@ def test_malformed_network_is_an_input_error(tmp_path, capsys, document, part):
     ('{"variables": 5, "edges": []}', "'variables'"),
     ('{"variables": ["a"], "edges": [5]}', "'edges'"),
     ("5", "document"),
-    ('{"variables": [["a"]], "edges": []}', "'variables'")])
+    ('{"variables": [["a"]], "edges": []}', "'variables'"),
+    ('{"variables": ["a", "g"], "edges": [["a", "g"], ["a", "g"]]}',
+     "edge 'a' -> 'g' is listed twice")])
 def test_malformed_structure_is_an_input_error(tmp_path, capsys, document,
                                                part):
     rc, err = run_with_document(
@@ -286,6 +303,37 @@ def test_malformed_structure_is_an_input_error(tmp_path, capsys, document,
                            str(tmp_path / "net.json"), "--structure"], document)
     assert rc == 2 and part in err and "runtime error" not in err
     assert not (tmp_path / "net.json").exists()
+
+
+def test_repeated_csv_column_is_an_input_error(tmp_path, capsys):
+    # a second g column must not be validated in place of the first
+    lines = Path(READINGS).read_text().splitlines()[:3]
+    data = tmp_path / "rows.csv"
+    data.write_text("".join(f"{line},{line.split(',')[1]}\n" for line in lines))
+    out = tmp_path / "steps.jsonl"
+    rc = main(["validate", "--network", NET, "--discretizer", DISC,
+               "--data", str(data), "--out", str(out)])
+    assert rc == 2
+    assert "column 'g' appears twice" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_huge_reading_is_validated(tmp_path, capsys):
+    # 1e308 codes to the top interval instead of overflowing
+    lines = Path(READINGS).read_text().splitlines()[:3]
+    header = lines[0].split(",")
+    rows = [line.split(",") for line in lines[1:]]
+    for row in rows:
+        row[header.index("g")] = "1e308"
+    data = tmp_path / "rows.csv"
+    data.write_text("".join(",".join(r) + "\n" for r in [header, *rows]))
+    out = tmp_path / "steps.jsonl"
+    rc = main(["validate", "--network", NET, "--discretizer", DISC,
+               "--data", str(data), "--out", str(out)])
+    assert rc == 0, capsys.readouterr().err
+    steps = [json.loads(line) for line in out.read_text().splitlines()]
+    assert [s["step"] for s in steps] == [1, 2, 3, 4, 5] * 2
+    assert any(s["sensor"] == "g" and s["status"] == "faulty" for s in steps)
 
 
 @pytest.mark.parametrize("document, part", [

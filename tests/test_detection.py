@@ -37,6 +37,19 @@ class TestDiscretizer:
         assert d.index("s", 11.7) == 9
         assert d.index("s", 5.0) == 5
 
+    @pytest.mark.parametrize("x, code", [(1e308, 9), (-1e308, 0),
+                                         (math.inf, 9), (-math.inf, 0)])
+    def test_huge_readings_clamp_to_the_edge_intervals(self, x, code):
+        d = make_disc()
+        assert d.index("s", x) == code
+        codes = d._index_array("s", np.array([x, 5.0, x]))
+        assert codes.tolist() == [code, 5, code]
+
+    def test_index_array_matches_index(self):
+        d = make_disc(lo=-1.3, hi=2.9, bins=7)
+        xs = np.linspace(-3.0, 4.0, 701)
+        assert d._index_array("s", xs).tolist() == [d.index("s", x) for x in xs]
+
     def test_needs_two_bins(self):
         with pytest.raises(DiscretizerError):
             Discretizer(1, {"s": (0.0, 1.0)})

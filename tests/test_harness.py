@@ -1,7 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 import sensorval as sv
+from sensorval.benchmarks import tree21_benchmark
 from sensorval.detection import Discretizer
 from sensorval.harness import (Dataset, criterion_label, policy_comparison_csv)
 from conftest import FIXTURES
@@ -60,6 +63,19 @@ class TestLearnParameters:
         dist = sv.posterior_marginal(net, {"x": "0", "y": "1"}, "z")
         np.testing.assert_allclose(dist.probabilities, [0.2, 0.2, 0.6])
 
+    def test_huge_readings_count_in_the_edge_intervals(self):
+        d = Discretizer(4, {"x": (0.0, 4.0), "y": (0.0, 4.0)})
+        rows = np.array([[1e308, -1e308]] * 8)
+        net = sv.learn_parameters(toy_structure(), d, Dataset(("x", "y"), rows))
+        assert net.cpts["x"].table[0].argmax() == 3
+        assert net.cpts["y"].table[3].argmax() == 0
+
+    def test_tree21_network_is_unchanged(self):
+        # SHA-256 of the learned 21-sensor network document
+        net = tree21_benchmark().net
+        assert hashlib.sha256(sv.save_network(net).encode()).hexdigest() == (
+            "0f0a3ba6eea49e4dd713b8d544733a0d85a01883f2506533cd0f580230d720e5")
+
     def test_empty_training_set(self):
         d = Discretizer(4, {"x": (0.0, 4.0), "y": (0.0, 4.0)})
         with pytest.raises(ValueError, match="empty"):
@@ -71,6 +87,11 @@ class TestLearnParameters:
         with pytest.raises(KeyError, match="y"):
             sv.learn_parameters(toy_structure(), d,
                                 Dataset(("x",), np.array([[0.5]])))
+
+
+def test_repeated_column_is_refused():
+    with pytest.raises(ValueError, match="column 'a' appears twice"):
+        Dataset.from_csv("a,a\n1,2\n")
 
 
 class TestSplitDataset:

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -192,6 +197,33 @@ class TestEngineLimits:
             got = sv.posterior_marginal(net, {"x00": first}, "x59").probabilities
             np.testing.assert_allclose(got, want[int(first)], rtol=0,
                                        atol=1e-12)
+
+
+ORDERS_SCRIPT = """
+import numpy as np
+from conftest import random_binary_net
+from sensorval.inference import _cpt_factor, _min_fill_order
+rng = np.random.default_rng(8)
+for _ in range(300):
+    net = random_binary_net(rng, int(rng.integers(2, 10)))
+    target = net.names()[int(rng.integers(len(net.names())))]
+    factors = [_cpt_factor(net, n) for n in net.names()]
+    print(_min_fill_order(factors, set(net.names()) - {target}))
+"""
+
+
+def test_elimination_order_does_not_depend_on_string_hashing():
+    tests = Path(__file__).resolve().parent
+    outputs = set()
+    for seed in ("1", "2", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join([str(tests.parent / "src"),
+                                               str(tests)]))
+        proc = subprocess.run([sys.executable, "-c", ORDERS_SCRIPT], env=env,
+                              capture_output=True, text=True, timeout=120,
+                              check=True)
+        outputs.add(proc.stdout)
+    assert len(outputs) == 1
 
 
 class TestBruteForce:

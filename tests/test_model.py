@@ -127,6 +127,28 @@ class TestNetValidation:
         with pytest.raises(sv.CptError, match="parents"):
             sv.BayesNet(variables, [("x", "y")], cpts)
 
+    def test_repeated_edge(self):
+        # counted twice, t's CPT would skew every prediction of m
+        with pytest.raises(sv.NetworkError, match="edge 'm' -> 't' is listed twice"):
+            tiny_net([("m", "t"), ("m", "t")])
+
+    def test_repeated_cpt_parent(self):
+        variables = [sv.Variable(n, ("a", "b")) for n in ("x", "y")]
+        cpts = {"x": sv.Cpt("x", (), np.array([[0.5, 0.5]])),
+                "y": sv.Cpt("y", ("x", "x"), np.full((4, 2), 0.5))}
+        with pytest.raises(sv.CptError, match="parents"):
+            sv.BayesNet(variables, [("x", "y")], cpts)
+
+    def test_cpt_of_undeclared_variable(self):
+        variables = [sv.Variable("x", ("a", "b"))]
+        cpt = sv.Cpt("x", (), np.array([[0.5, 0.5]]))
+        with pytest.raises(sv.CptError, match="undeclared variable 'zz'"):
+            sv.BayesNet(variables, [], {"x": cpt, "zz": cpt})
+
+    def test_structure_repeated_edge(self):
+        with pytest.raises(sv.NetworkError, match="edge 'a' -> 'b' is listed twice"):
+            sv.NetworkStructure("s", ("a", "b"), (("a", "b"), ("a", "b")))
+
     def test_variable_needs_two_states(self):
         with pytest.raises(sv.NetworkError):
             sv.Variable("x", ("only",))
