@@ -43,8 +43,10 @@ class Benchmark:
 
 def _assemble(structure: NetworkStructure, data_seed: int,
               calibration: DetectionCriterion | None) -> Benchmark:
-    data = generate_synthetic_dataset(structure, N_ROWS, NOISE, data_seed)
-    train, test = split_dataset(data, SPLIT_RATIO, SPLIT_SEED)
+    # the full table is dropped here, before learning allocates
+    train, test = split_dataset(
+        generate_synthetic_dataset(structure, N_ROWS, NOISE, data_seed),
+        SPLIT_RATIO, SPLIT_SEED)
     disc = fit_discretizer(train, structure.sensors, bins=BINS)
     net = learn_parameters(structure, disc, train)
     emb = emb_table(net)

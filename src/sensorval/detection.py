@@ -6,7 +6,9 @@ classified apparently correct or faulty under a configurable criterion.
 
 The prediction always conditions on the whole blanket, so it is a product
 of CPT slices (``BlanketKernel``), built once per network and sensor on
-first use and cached on the network.
+first use and cached on the network. Each kernel also memoises its
+predictions by blanket state; the criterion reads a prediction through one
+summary (``Prediction``), taken on every call.
 """
 
 from __future__ import annotations
@@ -30,6 +32,8 @@ if TYPE_CHECKING:
 DEFAULT_BINS = 10
 
 SIGMA, PVALUE, TAU = "sigma", "pvalue", "tau"
+# Predictions a kernel keeps before its memo is cleared (about 0.3 kB each).
+PREDICTION_MEMO_CAP = 1 << 10
 
 
 class DiscretizerError(ValueError):
@@ -54,6 +58,10 @@ class Discretizer:
                                        f"{[lo, hi]!r}")
             if not lo < hi:
                 raise DiscretizerError(f"zero-width range for sensor {s!r}")
+            # ``index`` scales by bins * (x - lo) / (hi - lo)
+            if not math.isfinite(self.bins * (hi - lo)):
+                raise DiscretizerError(f"sensor {s!r} has a range {[lo, hi]!r} "
+                                       f"too wide for {self.bins} intervals")
 
     def index(self, sensor: str, x: float) -> int:
         """Interval index of x; out-of-range values, however large, clamp to
@@ -146,6 +154,31 @@ class ApparentStatus:
         return "faulty" if self.faulty else "correct"
 
 
+class Prediction:
+    """P(sensor | blanket) with what every criterion reads: its mean over
+    the sensor's interval midpoints, each midpoint's distance from that
+    mean, and its standard deviation."""
+
+    __slots__ = ("probabilities", "mean", "deviations", "sigma")
+
+    def __init__(self, probabilities: np.ndarray, midpoints: np.ndarray):
+        p = self.probabilities = probabilities
+        self.mean = mu = float((p * midpoints).sum())
+        self.deviations = np.abs(midpoints - mu)
+        self.sigma = float(np.sqrt(max(float((p * self.deviations ** 2).sum()),
+                                       0.0)))
+
+    def faulty(self, x: float, d: Discretizer, sensor: str,
+               criterion: DetectionCriterion) -> bool:
+        """Whether the reading x is apparently faulty under the criterion."""
+        if criterion.kind == SIGMA:
+            return abs(x - self.mean) > criterion.parameter * self.sigma
+        if criterion.kind == PVALUE:
+            tail = self.probabilities[self.deviations >= abs(x - self.mean)]
+            return float(tail.sum()) < criterion.parameter
+        return float(self.probabilities[d.index(sensor, x)]) < criterion.parameter
+
+
 class BlanketKernel:
     """Closed-form P(sensor | Markov blanket) over interval codes.
 
@@ -198,8 +231,9 @@ class BlanketKernel:
         self.slabs = np.concatenate(slabs)
         self.base = np.array(base, dtype=np.intp)
         self.weights = weights
+        self.memo: dict[tuple, np.ndarray] = {}
 
-    def codes(self, d: Discretizer, reading: Mapping[str, float]) -> np.ndarray:
+    def codes(self, d: Discretizer, reading: Mapping[str, float]) -> list[int]:
         """Interval codes of the blanket readings, in ``blanket`` order."""
         codes = []
         for b in self.blanket:
@@ -212,7 +246,7 @@ class BlanketKernel:
                     f"non-finite reading {x!r} of sensor {b!r} "
                     f"(in the Markov blanket of {self.sensor!r})")
             codes.append(d.index(b, x))
-        return np.array(codes, dtype=np.intp)
+        return codes
 
     def probabilities(self, codes: np.ndarray) -> np.ndarray:
         """Normalized P(sensor | blanket codes).
@@ -228,6 +262,26 @@ class BlanketKernel:
                 f"blanket evidence {evidence!r} of {self.sensor!r} "
                 f"has probability zero")
         return p / z
+
+    def predict(self, net: BayesNet, d: Discretizer,
+                reading: Mapping[str, float]) -> np.ndarray:
+        """Normalized P(sensor | blanket readings), memoised by the
+        blanket's interval codes, of which it is a function. The array is
+        read-only, because every caller with those codes gets it."""
+        codes = self.codes(d, reading)
+        key = tuple(codes)
+        p = self.memo.get(key)
+        if p is None:
+            if self.general:
+                evidence = dict(zip(self.blanket, map(str, codes)))
+                p = posterior_marginal(net, evidence, self.sensor).probabilities
+            else:
+                p = self.probabilities(np.array(codes, dtype=np.intp))
+            p.setflags(write=False)
+            if len(self.memo) >= PREDICTION_MEMO_CAP:
+                self.memo.clear()
+            self.memo[key] = p
+        return p
 
 
 def blanket_kernel(net: BayesNet, sensor: str, bins: int) -> BlanketKernel:
@@ -249,38 +303,21 @@ def predict_distribution(net: BayesNet, d: Discretizer,
     blanket evidence has probability zero.
     """
     kernel = blanket_kernel(net, sensor, d.bins)
-    codes = kernel.codes(d, reading)
-    if kernel.general:
-        evidence = dict(zip(kernel.blanket, map(str, codes)))
-        return posterior_marginal(net, evidence, sensor)
-    return Distribution(sensor, kernel.probabilities(codes))
+    return Distribution(sensor, kernel.predict(net, d, reading))
 
 
 def posterior_moments(dist: Distribution, d: Discretizer,
                       sensor: str) -> tuple[float, float]:
     """Mean and standard deviation of the posterior over interval midpoints."""
-    mids = d.midpoints(sensor)
-    p = dist.probabilities
-    mu = float((p * mids).sum())
-    var = float((p * (mids - mu) ** 2).sum())
-    return mu, float(np.sqrt(max(var, 0.0)))
+    prediction = Prediction(dist.probabilities, d.midpoints(sensor))
+    return prediction.mean, prediction.sigma
 
 
 def apply_criterion(x: float, dist: Distribution, d: Discretizer,
                     sensor: str, criterion: DetectionCriterion) -> ApparentStatus:
     """Classify the reading x against the predicted posterior."""
-    if criterion.kind == SIGMA:
-        mu, sigma = posterior_moments(dist, d, sensor)
-        faulty = abs(x - mu) > criterion.parameter * sigma
-    elif criterion.kind == PVALUE:
-        mids = d.midpoints(sensor)
-        p = dist.probabilities
-        mu = float((p * mids).sum())       # the mean of posterior_moments
-        tail = float(p[np.abs(mids - mu) >= abs(x - mu)].sum())
-        faulty = tail < criterion.parameter
-    else:
-        faulty = float(dist.probabilities[d.index(sensor, x)]) < criterion.parameter
-    return ApparentStatus(sensor, faulty)
+    prediction = Prediction(dist.probabilities, d.midpoints(sensor))
+    return ApparentStatus(sensor, prediction.faulty(x, d, sensor, criterion))
 
 
 def validate_sensor(net: BayesNet, d: Discretizer,
@@ -293,5 +330,6 @@ def validate_sensor(net: BayesNet, d: Discretizer,
     x = reading[sensor]
     if not math.isfinite(x):
         raise ValueError(f"non-finite reading {x!r} of sensor {sensor!r}")
-    dist = predict_distribution(net, d, reading, sensor)
-    return apply_criterion(x, dist, d, sensor, criterion)
+    p = blanket_kernel(net, sensor, d.bins).predict(net, d, reading)
+    prediction = Prediction(p, d.midpoints(sensor))
+    return ApparentStatus(sensor, prediction.faulty(x, d, sensor, criterion))

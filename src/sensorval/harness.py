@@ -49,7 +49,7 @@ class Dataset:
         return self.values.shape[0]
 
     def row(self, i: int) -> dict[str, float]:
-        return {s: float(v) for s, v in zip(self.sensors, self.values[i])}
+        return dict(zip(self.sensors, self.values[i].tolist()))
 
     def rows(self):
         for i in range(len(self)):
@@ -137,25 +137,19 @@ def learn_parameters(structure: NetworkStructure, d: Discretizer,
     if missing:
         raise KeyError(f"training data is missing columns {missing}")
     b = d.bins
-    codes = {s: d._index_array(s, train.values[:, train.sensors.index(s)])
-             for s in structure.sensors}
     variables = [Variable(s, d.states()) for s in structure.sensors]
     cpts = {}
     for s in structure.sensors:
         parents = structure.parents_of(s)
-        if not parents:
-            counts = np.ones(b)
-            np.add.at(counts, codes[s], 1.0)
-            table = (counts / counts.sum()).reshape(1, b)
-        else:
-            n_ctx = b ** len(parents)
-            counts = np.ones((n_ctx, b))
-            ctx = np.zeros(len(train), dtype=int)
-            for p in parents:
-                ctx = ctx * b + codes[p]
-            np.add.at(counts, (ctx, codes[s]), 1.0)
-            table = counts / counts.sum(axis=1, keepdims=True)
-        cpts[s] = Cpt(s, parents, table)
+        # one code per row over the family, parents first: row-major
+        # (parent context, state), the CPT's layout
+        family = np.zeros(len(train), dtype=np.intp)
+        for v in parents + (s,):
+            family *= b
+            family += d._index_array(v, train.values[:, train.sensors.index(v)])
+        counts = np.bincount(family, minlength=b ** (len(parents) + 1)) + 1.0
+        counts = counts.reshape(-1, b)
+        cpts[s] = Cpt(s, parents, counts / counts.sum(axis=1, keepdims=True))
     return BayesNet(variables, structure.edges, cpts)
 
 
@@ -204,7 +198,10 @@ def generate_synthetic_dataset(structure: NetworkStructure, n_rows: int,
     if n_rows < 1:
         raise ValueError("need at least one row")
     rng = np.random.default_rng(seed)
-    values = {}
+    column = {s: k for k, s in enumerate(structure.sensors)}
+    # column-major, so that each sensor's column is contiguous
+    values = np.empty((n_rows, len(column)), order="F")
+    done = set()
     u = np.linspace(0.0, 1.0, n_rows)
     ramp = np.clip((u - 0.15) / 0.7, 0.0, 1.0)
     wiggle = 0.03 * np.sin(2.0 * np.pi * 3.0 * u)
@@ -213,21 +210,22 @@ def generate_synthetic_dataset(structure: NetworkStructure, n_rows: int,
         still = []
         for s in pending:
             parents = structure.parents_of(s)
-            if any(p not in values for p in parents):
+            if any(p not in done for p in parents):
                 still.append(s)
                 continue
             if not parents:
-                values[s] = ramp + wiggle + rng.normal(0.0, noise, n_rows)
+                values[:, column[s]] = (ramp + wiggle
+                                        + rng.normal(0.0, noise, n_rows))
             else:
                 w = rng.uniform(0.8, 1.2, len(parents))
                 w /= w.sum()
-                base = sum(wi * values[p] for wi, p in zip(w, parents))
-                values[s] = base + rng.normal(0.0, noise, n_rows)
+                base = sum(wi * values[:, column[p]] for wi, p in zip(w, parents))
+                values[:, column[s]] = base + rng.normal(0.0, noise, n_rows)
+            done.add(s)
         if len(still) == len(pending):
             raise ValueError("structure is not acyclic")
         pending = still
-    matrix = np.column_stack([values[s] for s in structure.sensors])
-    return Dataset(structure.sensors, matrix)
+    return Dataset(structure.sensors, values)
 
 
 # --- fault injection --------------------------------------------------------

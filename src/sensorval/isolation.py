@@ -30,6 +30,8 @@ DEFAULT_PRIOR = 0.5
 _TINY = 1e-300                 # evidence at or below this has probability zero
 # Components with more root assignments take variable elimination (tests patch it).
 ENUMERATION_LIMIT = 2 ** 16
+# Faulty-branch solves a network keeps before its memo is cleared.
+BRANCH_MEMO_CAP = 1 << 14
 
 
 def root_name(sensor: str) -> str:
@@ -129,14 +131,17 @@ class CompiledIsolation:
 
     ``log_q[i, j]`` is log(1 - c_ij) for a link i -> j and 0 where there is
     none; ``log_odds[i]`` is log(prior / (1 - prior)); ``parents[j]`` lists
-    the causes of apparent fault j. ``index`` maps each sensor to its
-    position i and ``bit`` to 1 << i; sets of sensors are int bitmasks
-    with bit i for ``iso.sensors[i]``. ``select_memo`` belongs to
-    ``anytime.select_next_sensor``, which memoises its choices there.
+    the causes of apparent fault j, and ``child_mask[i]`` the apparent
+    faults root i causes. ``index`` maps each sensor to its position i and
+    ``bit`` to 1 << i; sets of sensors are int bitmasks with bit i for
+    ``iso.sensors[i]``. ``select_memo`` belongs to
+    ``anytime.select_next_sensor``, which memoises its choices there, and
+    ``branch_memo`` to ``branch_posteriors``' faulty-branch solves.
     """
 
     __slots__ = ("sensors", "index", "bit", "prior", "log_odds", "log_q",
-                 "parents", "parent_mask", "select_memo")
+                 "parents", "parent_mask", "child_mask", "select_memo",
+                 "branch_memo")
 
     def __init__(self, iso: IsolationNet):
         self.sensors = iso.sensors
@@ -147,6 +152,7 @@ class CompiledIsolation:
         self.log_q = np.zeros((len(index), len(index)))
         self.parents = []
         self.parent_mask = []
+        self.child_mask = [0] * len(index)
         for j in iso.sensors:
             causes = [index[i] for i in iso.parents_of[j]]
             for i, cause in zip(causes, iso.parents_of[j]):
@@ -154,9 +160,11 @@ class CompiledIsolation:
                 # a certain link (c = 1) keeps a finite floor
                 self.log_q[i, index[j]] = (math.log1p(-c) if c < 1.0
                                            else math.log(_TINY))
+                self.child_mask[i] |= 1 << index[j]
             self.parents.append(causes)
             self.parent_mask.append(sum(1 << i for i in causes))
         self.select_memo = {}
+        self.branch_memo = {}
 
     def indices(self, sensors: Iterable[str]) -> list[int]:
         try:
@@ -220,7 +228,8 @@ def branch_posteriors(net: CompiledIsolation, faulty: int, correct: int,
     roots' active log-weights, so all correct branches are enumerated as
     one batch over the state's components; a faulty finding changes only
     the component that c's parents merge into, so only that component is
-    re-enumerated and every other root keeps the state's posterior.
+    solved again (``_faulty_branch``) and every other root keeps the
+    state's posterior.
     """
     for c in candidates:
         if (faulty | correct) >> c & 1:
@@ -231,13 +240,42 @@ def branch_posteriors(net: CompiledIsolation, faulty: int, correct: int,
     batch = active_log[:, None] + net.log_q[:, candidates]
     out[0] = _posteriors(net, batch, components).T
     out[1] = _posteriors(net, active_log, components)
-    unary = net.log_odds + active_log
-    w1 = net.prior * np.exp(active_log)
     for i, c in enumerate(candidates):
         roots, effects, _ = _merge(components, net.parent_mask[c], [c])
-        members = _indices(roots)
-        out[1, i, members] = _component(net, members, effects, unary, w1)
+        members, post = _faulty_branch(net, roots, effects, correct)
+        out[1, i, members] = post
     return out
+
+
+def _faulty_branch(net: CompiledIsolation, roots: int, effects: list,
+                   correct: int) -> tuple[list[int], np.ndarray]:
+    """The indices of the roots in ``roots`` and their posteriors given the
+    faulty ``effects`` they cause and the correct findings.
+
+    The posteriors read only the roots, the effects in order and the
+    correct findings on the apparent faults those roots cause, so the
+    active log-weights are summed over exactly those columns and the
+    result is memoised on ``net`` under exactly that key. Components
+    solved by variable elimination are not memoised.
+    """
+    members = _indices(roots)
+    linked = 0
+    for i in members:
+        linked |= net.child_mask[i]
+    key = (roots, tuple(effects), correct & linked)
+    memo = net.branch_memo
+    enumerated = 2 ** len(members) <= ENUMERATION_LIMIT
+    post = memo.get(key) if enumerated else None
+    if post is None:
+        active_log = net.log_q[members][:, _indices(key[2])].sum(axis=1)
+        post = _component(net, members, effects,
+                          net.log_odds[members] + active_log,
+                          net.prior[members] * np.exp(active_log))
+        if enumerated:
+            if len(memo) >= BRANCH_MEMO_CAP:
+                memo.clear()
+            memo[key] = post
+    return members, post
 
 
 def candidate_scores(net: CompiledIsolation, faulty: int, correct: int,
@@ -287,14 +325,16 @@ def _posteriors(net, active_log, components) -> np.ndarray:
     unary = log_odds + active_log
     for roots, effects in components:
         members = _indices(roots)
-        post[members] = _component(net, members, effects, unary, w1)
+        post[members] = _component(net, members, effects, unary[members],
+                                   w1[members])
     return post
 
 
 def _component(net, members, effects, unary, w1):
-    """Exact posteriors of one coupled component's roots, from every root's
-    log-odds ``unary`` and active weight ``w1`` given the correct findings:
-    vectors, or matrices with one column per batch entry."""
+    """Exact posteriors of one coupled component's roots, from their
+    log-odds ``unary`` and active weights ``w1`` given the correct findings
+    (one row per member): vectors, or matrices with one column per batch
+    entry."""
     k = len(members)
     if 2 ** k > ENUMERATION_LIMIT:
         if w1.ndim == 1:
@@ -303,7 +343,7 @@ def _component(net, members, effects, unary, w1):
             _component_marginals_ve(net, members, effects, column)
             for column in w1.T])
     bits = _BIT_TABLES[k] if k < len(_BIT_TABLES) else _bit_table(k)
-    logw = bits @ unary[members]
+    logw = bits @ unary
     likelihood = (-np.expm1(bits @ net.log_q[members][:, effects])).prod(axis=1)
     # a single solve, the belief update of every cycle step, stays in
     # vector form: the axis arguments cost it about 1 us per component
@@ -323,7 +363,8 @@ def _component(net, members, effects, unary, w1):
 def _component_marginals_ve(net, members, effects, w1) -> np.ndarray:
     """Exact per-root marginals of one coupled component by variable
     elimination over binary root variables."""
-    factors = [((i,), np.array([1.0 - net.prior[i], w1[i]])) for i in members]
+    factors = [((i,), np.array([1.0 - net.prior[i], w]))
+               for i, w in zip(members, w1)]
     for j in effects:
         causes = net.parents[j]
         s = _bit_table(len(causes)) @ net.log_q[causes, j]

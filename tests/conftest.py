@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import sensorval as sv
-from sensorval.benchmarks import reference_benchmark
+from sensorval.benchmarks import reference_benchmark, tree21_benchmark
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -31,6 +31,12 @@ WORKED_EXAMPLE_ROWS = [
 @pytest.fixture(scope="session")
 def ref():
     return reference_benchmark()
+
+
+@pytest.fixture(scope="session")
+def tree21():
+    """The 21-sensor benchmark, links calibrated with the pvalue criterion."""
+    return tree21_benchmark(calibration=sv.DetectionCriterion("pvalue", 0.01))
 
 
 @pytest.fixture(scope="session")

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import sensorval as sv
-from sensorval import anytime
+from sensorval import anytime, isolation
 from sensorval.anytime import TreeNode
 from sensorval.isolation import CORRECT, FAULTY
 from sensorval.benchmarks import tree21_benchmark
@@ -179,6 +179,78 @@ class TestSelectionMemo:
             sv.select_next_sensor(iso, findings, rest)
             sizes.append(len(memo))
         assert sizes == [1, 2, 3, 1, 2]
+
+
+class TestBranchMemo:
+    """``branch_posteriors`` memoises faulty-branch solves on the network;
+    a warm network must give what an empty memo gives, bit for bit."""
+
+    @staticmethod
+    def branches(iso, findings, rest):
+        net = iso.compiled
+        return isolation.branch_posteriors(net, *net.finding_masks(findings),
+                                           net.indices(sorted(rest)))
+
+    def check_warm_equals_cold(self, warm, cold, states):
+        for findings, rest in states:
+            cold.compiled.branch_memo.clear()
+            assert np.array_equal(self.branches(warm, findings, rest),
+                                  self.branches(cold, findings, rest)), findings
+
+    def test_reference_states(self):
+        build = lambda: sv.build_isolation_network(sv.EmbTable(REFERENCE_EMB))
+        warm = build()
+        states = list(reference_states())
+        for findings, rest in states:
+            self.branches(warm, findings, rest)
+        memo = warm.compiled.branch_memo
+        # fewer distinct solves than faulty branches asked for
+        assert 0 < len(memo) < sum(len(rest) for _, rest in states)
+        self.check_warm_equals_cold(warm, build(), states)
+
+    def test_random_tree21_states(self, tree21):
+        rng = np.random.default_rng(9)
+        sensors = tree21.iso.sensors
+        states = []
+        for _ in range(300):
+            observed = rng.choice(sensors, int(rng.integers(0, 19)),
+                                  replace=False)
+            findings = {str(s): FAULTY if rng.random() < 0.2 else CORRECT
+                        for s in observed}
+            states.append((findings, set(sensors) - findings.keys()))
+        warm = sv.build_isolation_network(
+            tree21.emb, link_overrides=tree21.iso.params.strengths)
+        for findings, rest in states:
+            self.branches(warm, findings, rest)
+        assert len(warm.compiled.branch_memo) < sum(len(r) for _, r in states)
+        cold = sv.build_isolation_network(
+            tree21.emb, link_overrides=tree21.iso.params.strengths)
+        self.check_warm_equals_cold(warm, cold, states)
+
+    def test_patched_limit_reaches_elimination(self, monkeypatch):
+        build = lambda: sv.build_isolation_network(sv.EmbTable(REFERENCE_EMB))
+        findings, rest = {"t": FAULTY, "m": CORRECT}, {"a", "g", "p"}
+        warm = build()
+        enumerated = self.branches(warm, findings, rest)
+        assert warm.compiled.branch_memo
+        monkeypatch.setattr(isolation, "ENUMERATION_LIMIT", 2)
+        solves = []
+        solve = isolation._component_marginals_ve
+        monkeypatch.setattr(isolation, "_component_marginals_ve",
+                            lambda *args: solves.append(args) or solve(*args))
+        eliminated = self.branches(warm, findings, rest)
+        # the warm network eliminates every faulty branch an empty memo does
+        warm_solves = len(solves)
+        self.branches(build(), findings, rest)
+        assert warm_solves > 0 and len(solves) == 2 * warm_solves
+        np.testing.assert_allclose(eliminated, enumerated, rtol=0, atol=1e-12)
+
+    def test_cap_clears_the_memo(self, monkeypatch):
+        monkeypatch.setattr(isolation, "BRANCH_MEMO_CAP", 3)
+        iso = sv.build_isolation_network(sv.EmbTable(REFERENCE_EMB))
+        # five distinct faulty branches: 1, 2, 3, cleared, 1, 2
+        self.branches(iso, {}, set(REFERENCE_EMB))
+        assert len(iso.compiled.branch_memo) == 2
 
 
 class TestQuality:

@@ -343,7 +343,9 @@ def test_huge_reading_is_validated(tmp_path, capsys):
     ('{"bins": 10, "bounds": {"a": 5}}', "'bounds'"),
     ('{"bins": 2.7, "bounds": {"a": [0, 1]}}', "'bins'"),
     ('{"bins": 10, "bounds": {"a": [0, Infinity]}}', "sensor 'a'"),
-    ('{"bins": 10, "bounds": {"a": [-Infinity, Infinity]}}', "sensor 'a'")])
+    ('{"bins": 10, "bounds": {"a": [-Infinity, Infinity]}}', "sensor 'a'"),
+    ('{"bins": 10, "bounds": {"a": [0, 1e308]}}', "sensor 'a'"),
+    ('{"bins": 10, "bounds": {"a": [-1e308, 1e308]}}', "sensor 'a'")])
 def test_malformed_discretizer_is_an_input_error(tmp_path, capsys, document,
                                                  part):
     rc, err = run_with_document(

@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 import sensorval as sv
+from sensorval import detection
 from sensorval.detection import Discretizer, DiscretizerError
 from sensorval.inference import Distribution
 
@@ -63,6 +65,12 @@ class TestDiscretizer:
                                         (-math.inf, 1.0), (math.nan, 1.0)])
     def test_bounds_must_be_finite(self, bounds):
         with pytest.raises(DiscretizerError, match="sensor 's' has a non-finite"):
+            Discretizer(10, {"s": bounds})
+
+    @pytest.mark.parametrize("bounds", [(0.0, 1e308), (-1e308, 1e308)])
+    def test_range_must_not_overflow(self, bounds):
+        with pytest.raises(DiscretizerError, match="sensor 's' has a range .* "
+                                                   "too wide for 10 intervals"):
             Discretizer(10, {"s": bounds})
 
     def test_json_round_trip(self, ref):
@@ -249,13 +257,123 @@ class TestNonFiniteReadings:
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
                              ids=["nan", "inf", "-inf"])
     @pytest.mark.parametrize("where", ["target", "blanket"])
-    def test_rejected_with_sensor_and_value(self, ref, criterion, value, where):
+    def test_rejected_with_sensor_and_value(self, ref, monkeypatch, criterion,
+                                            value, where):
         # t is in m's Markov blanket
         bad = "m" if where == "target" else "t"
-        reading = dict(ref.test.row(10), **{bad: value})
+        clean = ref.test.row(10)
+        sv.validate_sensor(ref.net, ref.discretizer, clean, "m", criterion)
+        kernel = ref.net.blanket_kernels["m"]
+        spy = LookupSpy(kernel.memo)
+        monkeypatch.setattr(kernel, "memo", spy)
+        reading = dict(clean, **{bad: value})
         with pytest.raises(ValueError,
                            match=re.escape(f"{value!r} of sensor {bad!r}")):
             sv.validate_sensor(ref.net, ref.discretizer, reading, "m", criterion)
+        # refused before the memo, which holds the clean blanket, is read
+        assert spy.lookups == 0
+
+
+class LookupSpy(dict):
+    """A prediction memo that counts its lookups."""
+
+    def __init__(self, entries):
+        super().__init__(entries)
+        self.lookups = 0
+
+    def get(self, key, default=None):
+        self.lookups += 1
+        return super().get(key, default)
+
+
+def chain_net(seed: int) -> sv.BayesNet:
+    """a -> b -> c over three interval codes, with a zero in c's CPT: a's
+    prediction takes the general engine (c is outside a's family), b's
+    the closed-form kernel."""
+    rng = np.random.default_rng(seed)
+    labels = ("0", "1", "2")
+
+    def table(rows):
+        t = rng.uniform(0.05, 1.0, (rows, 3))
+        return t / t.sum(axis=1, keepdims=True)
+
+    c = table(3)
+    c[0, 0] = 0.0
+    c[0] /= c[0].sum()
+    cpts = {"a": sv.Cpt("a", (), table(1)), "b": sv.Cpt("b", ("a",), table(3)),
+            "c": sv.Cpt("c", ("b",), c)}
+    return sv.BayesNet([sv.Variable(v, labels) for v in "abc"],
+                       [("a", "b"), ("b", "c")], cpts)
+
+
+class TestPredictionMemo:
+    CRITERIA = (sv.DetectionCriterion("sigma", 1.0),
+                sv.DetectionCriterion("pvalue", 0.2),
+                sv.DetectionCriterion("tau", 0.3))
+
+    @staticmethod
+    def predict(net, d, reading, sensor):
+        return detection.blanket_kernel(net, sensor, d.bins).predict(
+            net, d, reading)
+
+    def assert_judged_alike(self, warm, cold, d, reading, sensor, xs):
+        for x in xs:
+            reading = dict(reading, **{sensor: float(x)})
+            for criterion in self.CRITERIA:
+                assert (sv.validate_sensor(warm, d, reading, sensor, criterion)
+                        == sv.validate_sensor(cold(), d, reading, sensor,
+                                              criterion))
+
+    @pytest.mark.parametrize("target, general", [("a", True), ("b", False)])
+    def test_hit_equals_cold_prediction(self, target, general):
+        warm = chain_net(5)
+        d = Discretizer(3, {v: (0.0, 3.0) for v in "abc"})
+        for codes in itertools.product(range(3), repeat=3):
+            reading = {v: k + 0.5 for v, k in zip("abc", codes)}
+            first = self.predict(warm, d, reading, target)
+            hit = self.predict(warm, d, reading, target)
+            assert hit is first
+            cold_net = chain_net(5)
+            assert np.array_equal(hit, self.predict(cold_net, d, reading,
+                                                    target))
+            assert cold_net.blanket_kernels[target].general is general
+            self.assert_judged_alike(warm, lambda: chain_net(5), d, reading,
+                                     target, np.linspace(-0.5, 3.5, 17))
+
+    def test_discretizers_with_other_bounds_do_not_share(self):
+        # equal bins and equal blanket codes, but b's midpoints differ: the
+        # summary the criteria read must come from the discretizer given
+        narrow = Discretizer(3, {v: (0.0, 3.0) for v in "abc"})
+        wide = Discretizer(3, {"a": (0.0, 3.0), "b": (0.0, 6.0),
+                               "c": (0.0, 3.0)})
+        reading = {"a": 1.5, "b": 1.5, "c": 0.5}
+        net = chain_net(6)
+        moments = {}
+        for name, d in (("narrow", narrow), ("wide", wide)):
+            dist = sv.predict_distribution(net, d, reading, "b")
+            moments[name] = sv.posterior_moments(dist, d, "b")
+        cold = sv.predict_distribution(chain_net(6), wide, reading, "b")
+        assert moments["wide"] == sv.posterior_moments(cold, wide, "b")
+        assert moments["wide"] != moments["narrow"]
+        for d in (narrow, wide):
+            self.assert_judged_alike(net, lambda: chain_net(6), d, reading,
+                                     "b", np.linspace(0.0, 6.0, 25))
+
+    def test_cached_probabilities_are_read_only(self, ref):
+        dist = sv.predict_distribution(ref.net, ref.discretizer,
+                                       ref.test.row(2), "t")
+        with pytest.raises(ValueError, match="read-only"):
+            dist.probabilities[0] = 1.0
+
+    def test_cap_clears_the_memo(self, monkeypatch):
+        monkeypatch.setattr(detection, "PREDICTION_MEMO_CAP", 2)
+        net = chain_net(7)
+        d = Discretizer(3, {v: (0.0, 3.0) for v in "abc"})
+        sizes = []
+        for k in range(3):
+            self.predict(net, d, {"a": k + 0.5, "b": 0.5, "c": 0.5}, "b")
+            sizes.append(len(net.blanket_kernels["b"].memo))
+        assert sizes == [1, 2, 1]
 
 
 class TestBlanketKernel:

@@ -253,6 +253,16 @@ class TestCalibration:
         assert links[("m", "t")] < 0.2
         assert links[("p", "m")] < 0.2
 
+    def test_tree21_links_are_unchanged(self, tree21):
+        # SHA-256 of the sorted calibrated links; calibrating again reads
+        # the warm prediction memos of the same network
+        links = sv.harness.calibrate_link_strengths(
+            tree21.net, tree21.discretizer, tree21.emb, tree21.train,
+            sv.DetectionCriterion("pvalue", 0.01))
+        assert links == tree21.iso.params.strengths
+        assert hashlib.sha256(repr(sorted(links.items())).encode()).hexdigest() \
+            == "1ded7882a2a1abd08b95a89b41b147d4bae494f713c8b523f834e79fccc1b006"
+
     def test_deterministic(self, ref):
         crit = sv.DetectionCriterion("sigma", 3.0)
         kwargs = dict(n_rows=10, seed=4)
