@@ -14,8 +14,8 @@ from dataclasses import asdict, dataclass
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .detection import DetectionCriterion, Discretizer, validate_sensor
-from .isolation import (CORRECT, FAULTY, IsolationNet, candidate_scores,
-                        fault_belief)
+from .isolation import (CORRECT, FAULTY, IsolationNet, _remember,
+                        candidate_scores, fault_belief)
 from .model import BayesNet, EmbTable, _name
 
 
@@ -40,16 +40,13 @@ def conditional_average_entropy(iso: IsolationNet,
                                 candidate: str) -> float:
     """Sum of the average entropies after each outcome of validating the
     candidate next; smaller means the validation is more informative."""
-    net = iso.compiled
-    return float(candidate_scores(net, *net.finding_masks(findings),
-                                  net.indices([candidate]))[0])
+    return float(candidate_scores(iso, *iso.finding_masks(findings),
+                                  iso.indices([candidate]))[0])
 
 
 # Scores this close count as tied: symmetric sensors must not be ordered
 # by rounding.
 TIE_TOLERANCE = 1e-12
-# Entries a network's selection memo holds before it is cleared.
-SELECT_MEMO_CAP = 1 << 14
 
 
 def select_next_sensor(iso: IsolationNet, findings: Mapping[str, str],
@@ -60,23 +57,19 @@ def select_next_sensor(iso: IsolationNet, findings: Mapping[str, str],
     (``isolation.candidate_scores``).
 
     The choice is a function of the findings and the candidates alone, so it
-    is memoised on the network's compiled form, keyed by bitmasks.
+    is memoised on the network, keyed by bitmasks.
     """
     candidates = sorted(unvalidated)
     if not candidates:
         raise ValueError("no unvalidated sensors left")
-    net = iso.compiled
-    key = (*net.finding_masks(findings), net.mask(candidates))
-    memo = net.select_memo
-    choice = memo.get(key)
+    key = (*iso.finding_masks(findings), iso.mask(candidates))
+    choice = iso.select_memo.get(key)
     if choice is None:
-        scores = candidate_scores(net, *key[:2], net.indices(candidates))
+        scores = candidate_scores(iso, *key[:2], iso.indices(candidates))
         best = scores.min()
         choice = next(s for s, v in zip(candidates, scores)
                       if v - best <= TIE_TOLERANCE)
-        if len(memo) >= SELECT_MEMO_CAP:
-            memo.clear()
-        memo[key] = choice
+        _remember(iso.select_memo, key, choice)
     return choice
 
 
@@ -126,18 +119,6 @@ class DecisionTree:
             if node.sensor in above:
                 raise ValueError(
                     f"tree validates sensor {node.sensor!r} twice on one path")
-
-    def paths(self) -> Iterator[list[tuple[str, str]]]:
-        """All complete root-to-leaf outcome paths as (sensor, status) lists."""
-        def walk(node, prefix):
-            if node is None:
-                yield prefix
-                return
-            yield from walk(node.faulty, prefix + [(node.sensor, FAULTY)])
-            yield from walk(node.ok, prefix + [(node.sensor, CORRECT)])
-        if self.root is None:
-            return iter(())
-        return walk(self.root, [])
 
 
 def tree_to_json(tree: DecisionTree) -> str:

@@ -119,6 +119,9 @@ def cmd_validate(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    # checked here, not per record, so a CSV without rows is refused too
+    if not 0.0 < args.declare < 1.0:
+        raise InputError("declaration threshold must lie in (0, 1)")
     net, disc = _load_model(args)
     iso = _build_isolation(net, args)
     tree = _load_tree(args, iso)

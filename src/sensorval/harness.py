@@ -70,7 +70,22 @@ class Dataset:
             header = next(reader)
         except StopIteration:
             raise ValueError("empty CSV: no header row") from None
-        rows = [[float(x) for x in row] for row in reader if row]
+        rows = []
+        for row in reader:
+            if not row:
+                continue
+            line = reader.line_num
+            if len(row) != len(header):
+                raise ValueError(f"CSV line {line} has {len(row)} cells, "
+                                 f"the header {len(header)}")
+            values = []
+            for name, cell in zip(header, row):
+                try:
+                    values.append(float(cell))
+                except ValueError:
+                    raise ValueError(f"CSV line {line}, column {name!r}: "
+                                     f"{cell!r} is not a number") from None
+            rows.append(values)
         values = np.array(rows, dtype=float) if rows else np.empty((0, len(header)))
         return cls(tuple(header), values)
 

@@ -5,21 +5,19 @@ faulty/correct) for every j in EMB(i); leaf conditionals are noisy-OR.
 Validation outcomes enter as hard evidence on the leaves and the root
 posteriors form the fault-probability vector refined step by step.
 
-Each network is compiled once, on first use, into arrays that the exact
-solver reads; findings are passed to it as bitmasks over the sensors.
+Each network builds, once, the arrays that the exact solver reads;
+findings are passed to it as bitmasks over the sensors.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Mapping
 
 import numpy as np
 
-from .inference import (InconsistentEvidenceError, NoisyOrParams,
-                        factor_marginals, noisy_or_row)
+from .inference import (_EVIDENCE_EPS, InconsistentEvidenceError,
+                        NoisyOrParams, factor_marginals, noisy_or_row)
 from .model import BayesNet, Cpt, EmbTable, Variable
 
 FAULT, OK = "fault", "ok"
@@ -27,11 +25,10 @@ FAULTY, CORRECT = "faulty", "correct"
 
 DEFAULT_LINK_STRENGTH = 0.99
 DEFAULT_PRIOR = 0.5
-_TINY = 1e-300                 # evidence at or below this has probability zero
 # Components with more root assignments take variable elimination (tests patch it).
 ENUMERATION_LIMIT = 2 ** 16
-# Faulty-branch solves a network keeps before its memo is cleared.
-BRANCH_MEMO_CAP = 1 << 14
+# Entries each memo of a network holds before it is cleared.
+MEMO_CAP = 1 << 14
 
 
 def root_name(sensor: str) -> str:
@@ -42,22 +39,79 @@ def apparent_name(sensor: str) -> str:
     return f"A_{sensor}"
 
 
-@dataclass(frozen=True)
 class IsolationNet:
     """The bipartite fault-isolation network derived from an EMB table.
 
-    Compiled into arrays on first use (``compiled``), so its dict fields
-    must not be mutated afterwards; build a new network instead.
+    ``sensors``, ``parents_of`` (apparent sensor -> tuple of root
+    sensors), ``params`` and ``priors`` (sensor -> prior fault probability)
+    specify it. The arrays the exact solver reads are built from them here,
+    indexed by position in ``sensors``, so the four must not be mutated
+    afterwards; build a new network instead.
+
+    ``log_q[i, j]`` is log(1 - c_ij) for a link i -> j and 0 where there is
+    none; ``log_odds[i]`` is log(prior / (1 - prior)); ``parents[j]`` lists
+    the causes of apparent fault j, and ``child_mask[i]`` the apparent
+    faults root i causes. ``index`` maps each sensor to its position i and
+    ``bit`` to 1 << i; sets of sensors are int bitmasks with bit i for
+    ``sensors[i]``. ``select_memo`` belongs to
+    ``anytime.select_next_sensor``, which memoises its choices there, and
+    ``branch_memo`` to ``branch_posteriors``' faulty-branch solves.
     """
 
-    sensors: tuple[str, ...]
-    parents_of: dict                   # apparent sensor -> tuple of root sensors
-    params: NoisyOrParams
-    priors: dict                       # sensor -> prior fault probability
+    __slots__ = ("sensors", "parents_of", "params", "priors", "index", "bit",
+                 "prior", "log_odds", "log_q", "parents", "parent_mask",
+                 "child_mask", "select_memo", "branch_memo")
 
-    @cached_property
-    def compiled(self) -> "CompiledIsolation":
-        return CompiledIsolation(self)
+    def __init__(self, sensors: tuple[str, ...], parents_of: dict,
+                 params: NoisyOrParams, priors: dict):
+        self.sensors = sensors
+        self.parents_of = parents_of
+        self.params = params
+        self.priors = priors
+        self.index = index = {s: i for i, s in enumerate(sensors)}
+        self.bit = {s: 1 << i for s, i in index.items()}
+        self.prior = np.array([priors[s] for s in sensors])
+        self.log_odds = np.log(self.prior) - np.log1p(-self.prior)
+        self.log_q = np.zeros((len(index), len(index)))
+        self.parents = []
+        self.parent_mask = []
+        self.child_mask = [0] * len(index)
+        for j in sensors:
+            causes = [index[i] for i in parents_of[j]]
+            for i, cause in zip(causes, parents_of[j]):
+                c = params.c(cause, j)
+                # a certain link (c = 1) keeps a finite floor
+                self.log_q[i, index[j]] = (math.log1p(-c) if c < 1.0
+                                           else math.log(_EVIDENCE_EPS))
+                self.child_mask[i] |= 1 << index[j]
+            self.parents.append(causes)
+            self.parent_mask.append(sum(1 << i for i in causes))
+        self.select_memo = {}
+        self.branch_memo = {}
+
+    def indices(self, sensors: Iterable[str]) -> list[int]:
+        try:
+            return [self.index[s] for s in sensors]
+        except KeyError as exc:
+            raise KeyError(f"unknown sensor {exc.args[0]!r}") from None
+
+    def mask(self, sensors: Iterable[str]) -> int:
+        return sum(1 << i for i in self.indices(sensors))
+
+    def finding_masks(self, findings: Mapping[str, str]) -> tuple[int, int]:
+        """(faulty, correct) bitmasks of sensor -> "faulty"/"correct" findings."""
+        faulty = correct = 0
+        for sensor, status in findings.items():
+            bit = self.bit.get(sensor)
+            if bit is None:
+                raise KeyError(f"finding for unknown sensor {sensor!r}")
+            if status == FAULTY:
+                faulty |= bit
+            elif status == CORRECT:
+                correct |= bit
+            else:
+                raise ValueError(f"finding for {sensor!r} must be faulty/correct")
+        return faulty, correct
 
     def to_bayes_net(self) -> BayesNet:
         """Expand the noisy-OR conditionals into an explicit BayesNet."""
@@ -126,71 +180,6 @@ def build_isolation_network(
     )
 
 
-class CompiledIsolation:
-    """An IsolationNet as arrays, indexed by position in ``iso.sensors``.
-
-    ``log_q[i, j]`` is log(1 - c_ij) for a link i -> j and 0 where there is
-    none; ``log_odds[i]`` is log(prior / (1 - prior)); ``parents[j]`` lists
-    the causes of apparent fault j, and ``child_mask[i]`` the apparent
-    faults root i causes. ``index`` maps each sensor to its position i and
-    ``bit`` to 1 << i; sets of sensors are int bitmasks with bit i for
-    ``iso.sensors[i]``. ``select_memo`` belongs to
-    ``anytime.select_next_sensor``, which memoises its choices there, and
-    ``branch_memo`` to ``branch_posteriors``' faulty-branch solves.
-    """
-
-    __slots__ = ("sensors", "index", "bit", "prior", "log_odds", "log_q",
-                 "parents", "parent_mask", "child_mask", "select_memo",
-                 "branch_memo")
-
-    def __init__(self, iso: IsolationNet):
-        self.sensors = iso.sensors
-        self.index = index = {s: i for i, s in enumerate(iso.sensors)}
-        self.bit = {s: 1 << i for s, i in index.items()}
-        self.prior = np.array([iso.priors[s] for s in iso.sensors])
-        self.log_odds = np.log(self.prior) - np.log1p(-self.prior)
-        self.log_q = np.zeros((len(index), len(index)))
-        self.parents = []
-        self.parent_mask = []
-        self.child_mask = [0] * len(index)
-        for j in iso.sensors:
-            causes = [index[i] for i in iso.parents_of[j]]
-            for i, cause in zip(causes, iso.parents_of[j]):
-                c = iso.params.c(cause, j)
-                # a certain link (c = 1) keeps a finite floor
-                self.log_q[i, index[j]] = (math.log1p(-c) if c < 1.0
-                                           else math.log(_TINY))
-                self.child_mask[i] |= 1 << index[j]
-            self.parents.append(causes)
-            self.parent_mask.append(sum(1 << i for i in causes))
-        self.select_memo = {}
-        self.branch_memo = {}
-
-    def indices(self, sensors: Iterable[str]) -> list[int]:
-        try:
-            return [self.index[s] for s in sensors]
-        except KeyError as exc:
-            raise KeyError(f"unknown sensor {exc.args[0]!r}") from None
-
-    def mask(self, sensors: Iterable[str]) -> int:
-        return sum(1 << i for i in self.indices(sensors))
-
-    def finding_masks(self, findings: Mapping[str, str]) -> tuple[int, int]:
-        """(faulty, correct) bitmasks of sensor -> "faulty"/"correct" findings."""
-        faulty = correct = 0
-        for sensor, status in findings.items():
-            bit = self.bit.get(sensor)
-            if bit is None:
-                raise KeyError(f"finding for unknown sensor {sensor!r}")
-            if status == FAULTY:
-                faulty |= bit
-            elif status == CORRECT:
-                correct |= bit
-            else:
-                raise ValueError(f"finding for {sensor!r} must be faulty/correct")
-        return faulty, correct
-
-
 def _indices(mask: int) -> list[int]:
     return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
@@ -203,7 +192,7 @@ def _bit_table(k: int) -> np.ndarray:
 _BIT_TABLES = [_bit_table(k) for k in range(11)]
 
 
-def noisy_or_root_posteriors(net: CompiledIsolation, faulty: int,
+def noisy_or_root_posteriors(net: IsolationNet, faulty: int,
                              correct: int) -> np.ndarray:
     """Exact P(root active | leaf findings), in the network's sensor order.
 
@@ -218,7 +207,7 @@ def noisy_or_root_posteriors(net: CompiledIsolation, faulty: int,
     return _posteriors(net, active_log, _components(net, faulty))
 
 
-def branch_posteriors(net: CompiledIsolation, faulty: int, correct: int,
+def branch_posteriors(net: IsolationNet, faulty: int, correct: int,
                       candidates: list[int]) -> np.ndarray:
     """Root posteriors after each outcome of validating each candidate next.
 
@@ -247,7 +236,7 @@ def branch_posteriors(net: CompiledIsolation, faulty: int, correct: int,
     return out
 
 
-def _faulty_branch(net: CompiledIsolation, roots: int, effects: list,
+def _faulty_branch(net: IsolationNet, roots: int, effects: list,
                    correct: int) -> tuple[list[int], np.ndarray]:
     """The indices of the roots in ``roots`` and their posteriors given the
     faulty ``effects`` they cause and the correct findings.
@@ -263,22 +252,27 @@ def _faulty_branch(net: CompiledIsolation, roots: int, effects: list,
     for i in members:
         linked |= net.child_mask[i]
     key = (roots, tuple(effects), correct & linked)
-    memo = net.branch_memo
     enumerated = 2 ** len(members) <= ENUMERATION_LIMIT
-    post = memo.get(key) if enumerated else None
+    post = net.branch_memo.get(key) if enumerated else None
     if post is None:
         active_log = net.log_q[members][:, _indices(key[2])].sum(axis=1)
         post = _component(net, members, effects,
                           net.log_odds[members] + active_log,
                           net.prior[members] * np.exp(active_log))
         if enumerated:
-            if len(memo) >= BRANCH_MEMO_CAP:
-                memo.clear()
-            memo[key] = post
+            _remember(net.branch_memo, key, post)
     return members, post
 
 
-def candidate_scores(net: CompiledIsolation, faulty: int, correct: int,
+def _remember(memo: dict, key, value) -> None:
+    """Store ``value`` in one of a network's memos, clearing the memo first
+    once it holds ``MEMO_CAP`` entries."""
+    if len(memo) >= MEMO_CAP:
+        memo.clear()
+    memo[key] = value
+
+
+def candidate_scores(net: IsolationNet, faulty: int, correct: int,
                      candidates: list[int]) -> np.ndarray:
     """Conditional average entropy of each candidate: the mean binary
     entropy of the root posteriors after a correct finding plus that after
@@ -305,7 +299,7 @@ def _merge(components: list, roots: int, effects: list) -> tuple:
     return roots, effects, rest
 
 
-def _components(net: CompiledIsolation, faulty: int) -> list:
+def _components(net: IsolationNet, faulty: int) -> list:
     """The (root mask, faulty effects) components coupled by faulty findings."""
     components = []
     for j in _indices(faulty):
@@ -355,7 +349,7 @@ def _component(net, members, effects, unary, w1):
         weights = np.exp(logw - logw.max(axis=0)) * likelihood[:, None]
         total = weights.sum(axis=0)
         smallest = total.min()
-    if smallest <= _TINY:
+    if smallest <= _EVIDENCE_EPS:
         raise InconsistentEvidenceError("findings have probability zero")
     return (bits.T @ weights) / total
 
@@ -381,8 +375,7 @@ def fault_belief(iso: IsolationNet, findings: Mapping[str, str]) -> dict[str, fl
 
     ``findings`` maps sensor -> "faulty"/"correct" apparent status.
     """
-    net = iso.compiled
-    post = noisy_or_root_posteriors(net, *net.finding_masks(findings))
+    post = noisy_or_root_posteriors(iso, *iso.finding_masks(findings))
     return dict(zip(iso.sensors, post.tolist()))
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import sensorval as sv
-from sensorval import anytime, isolation
+from sensorval import isolation
 from sensorval.anytime import TreeNode
 from sensorval.isolation import CORRECT, FAULTY
 from sensorval.benchmarks import tree21_benchmark
@@ -145,7 +145,7 @@ class TestSelectionMemo:
         assert len(states) == 131
         for findings, rest in states:
             sv.select_next_sensor(warmed, findings, rest)
-        assert len(warmed.compiled.select_memo) == len(states)
+        assert len(warmed.select_memo) == len(states)
         for findings, rest in states:
             fresh = sv.select_next_sensor(self.build(), findings, rest)
             assert sv.select_next_sensor(warmed, findings, rest) == fresh, \
@@ -161,18 +161,18 @@ class TestSelectionMemo:
         other = self.build(link_overrides={("t", "g"): 0.5})
         for findings, rest in reference_states():
             sv.select_next_sensor(base, findings, rest)
-        assert base.compiled is not other.compiled
-        assert other.compiled.select_memo == {}
-        assert not np.shares_memory(base.compiled.log_q, other.compiled.log_q)
+        assert base.select_memo is not other.select_memo
+        assert other.select_memo == {}
+        assert not np.shares_memory(base.log_q, other.log_q)
         for findings, rest in reference_states():
             want = sv.select_next_sensor(
                 self.build(link_overrides={("t", "g"): 0.5}), findings, rest)
             assert sv.select_next_sensor(other, findings, rest) == want
 
     def test_cap_clears_the_memo(self, monkeypatch):
-        monkeypatch.setattr(anytime, "SELECT_MEMO_CAP", 3)
+        monkeypatch.setattr(isolation, "MEMO_CAP", 3)
         iso = self.build()
-        memo = iso.compiled.select_memo
+        memo = iso.select_memo
         states = list(reference_states())[:5]
         sizes = []
         for findings, rest in states:
@@ -187,13 +187,12 @@ class TestBranchMemo:
 
     @staticmethod
     def branches(iso, findings, rest):
-        net = iso.compiled
-        return isolation.branch_posteriors(net, *net.finding_masks(findings),
-                                           net.indices(sorted(rest)))
+        return isolation.branch_posteriors(iso, *iso.finding_masks(findings),
+                                           iso.indices(sorted(rest)))
 
     def check_warm_equals_cold(self, warm, cold, states):
         for findings, rest in states:
-            cold.compiled.branch_memo.clear()
+            cold.branch_memo.clear()
             assert np.array_equal(self.branches(warm, findings, rest),
                                   self.branches(cold, findings, rest)), findings
 
@@ -203,7 +202,7 @@ class TestBranchMemo:
         states = list(reference_states())
         for findings, rest in states:
             self.branches(warm, findings, rest)
-        memo = warm.compiled.branch_memo
+        memo = warm.branch_memo
         # fewer distinct solves than faulty branches asked for
         assert 0 < len(memo) < sum(len(rest) for _, rest in states)
         self.check_warm_equals_cold(warm, build(), states)
@@ -222,7 +221,7 @@ class TestBranchMemo:
             tree21.emb, link_overrides=tree21.iso.params.strengths)
         for findings, rest in states:
             self.branches(warm, findings, rest)
-        assert len(warm.compiled.branch_memo) < sum(len(r) for _, r in states)
+        assert len(warm.branch_memo) < sum(len(r) for _, r in states)
         cold = sv.build_isolation_network(
             tree21.emb, link_overrides=tree21.iso.params.strengths)
         self.check_warm_equals_cold(warm, cold, states)
@@ -232,7 +231,7 @@ class TestBranchMemo:
         findings, rest = {"t": FAULTY, "m": CORRECT}, {"a", "g", "p"}
         warm = build()
         enumerated = self.branches(warm, findings, rest)
-        assert warm.compiled.branch_memo
+        assert warm.branch_memo
         monkeypatch.setattr(isolation, "ENUMERATION_LIMIT", 2)
         solves = []
         solve = isolation._component_marginals_ve
@@ -246,11 +245,11 @@ class TestBranchMemo:
         np.testing.assert_allclose(eliminated, enumerated, rtol=0, atol=1e-12)
 
     def test_cap_clears_the_memo(self, monkeypatch):
-        monkeypatch.setattr(isolation, "BRANCH_MEMO_CAP", 3)
+        monkeypatch.setattr(isolation, "MEMO_CAP", 3)
         iso = sv.build_isolation_network(sv.EmbTable(REFERENCE_EMB))
         # five distinct faulty branches: 1, 2, 3, cleared, 1, 2
         self.branches(iso, {}, set(REFERENCE_EMB))
-        assert len(iso.compiled.branch_memo) == 2
+        assert len(iso.branch_memo) == 2
 
 
 class TestQuality:
@@ -308,10 +307,7 @@ class TestCompileTree:
         assert tree.depth() == 5
 
     def test_no_repeats_on_any_path(self, ref_iso):
-        tree = sv.compile_decision_tree(ref_iso)
-        for path in tree.paths():
-            sensors = [s for s, _ in path]
-            assert len(sensors) == len(set(sensors))
+        sv.compile_decision_tree(ref_iso).check(ref_iso.sensors)
 
     def test_full_tree_reproduces_online_selection(self, ref_iso):
         tree = sv.compile_decision_tree(ref_iso)

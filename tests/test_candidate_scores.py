@@ -89,9 +89,8 @@ def selection_states(draw):
 @given(selection_states())
 def test_batched_scores_match_per_candidate_scores(state):
     iso, findings, candidates = state
-    net = iso.compiled
-    scores = isolation.candidate_scores(net, *net.finding_masks(findings),
-                                        net.indices(candidates))
+    scores = isolation.candidate_scores(iso, *iso.finding_masks(findings),
+                                        iso.indices(candidates))
     for s, score in zip(candidates, scores):
         want = reference_score(iso, findings, s)
         assert score == pytest.approx(want, abs=1e-12)
@@ -103,15 +102,14 @@ def test_batched_scores_match_per_candidate_scores(state):
 @given(selection_states())
 def test_branch_posteriors_match_enumeration(state):
     iso, findings, candidates = state
-    net = iso.compiled
-    masks = net.finding_masks(findings)
-    batched = isolation.branch_posteriors(net, *masks, net.indices(candidates))
+    masks = iso.finding_masks(findings)
+    batched = isolation.branch_posteriors(iso, *masks, iso.indices(candidates))
     # enumeration limit 2 sends every component of two or more roots
     # through variable elimination; a function-scoped monkeypatch would
     # fail hypothesis's health check
     with patch.object(isolation, "ENUMERATION_LIMIT", 2):
-        eliminated = isolation.branch_posteriors(net, *masks,
-                                                 net.indices(candidates))
+        eliminated = isolation.branch_posteriors(iso, *masks,
+                                                 iso.indices(candidates))
     expanded = iso.to_bayes_net()
     for i, s in enumerate(candidates):
         for b, status in enumerate((CORRECT, FAULTY)):
@@ -142,12 +140,12 @@ def test_enumeration_matches_brute_force_posterior(ref_iso):
 
 
 def test_elimination_fallback_scores(ref_iso):
-    net = ref_iso.compiled
     for findings in ({"t": FAULTY}, {"t": FAULTY, "g": FAULTY, "p": CORRECT}):
         candidates = [s for s in ref_iso.sensors if s not in findings]
         with patch.object(isolation, "ENUMERATION_LIMIT", 2):
             scores = isolation.candidate_scores(
-                net, *net.finding_masks(findings), net.indices(candidates))
+                ref_iso, *ref_iso.finding_masks(findings),
+                ref_iso.indices(candidates))
         for s, score in zip(candidates, scores):
             assert score == pytest.approx(
                 reference_score(ref_iso, findings, s), abs=1e-9)
@@ -155,13 +153,12 @@ def test_elimination_fallback_scores(ref_iso):
 
 def test_candidate_with_a_finding_is_refused():
     iso = sv.build_isolation_network(sv.EmbTable(REFERENCE_EMB))
-    net = iso.compiled
     findings = {"t": FAULTY, "m": CORRECT}
     with pytest.raises(ValueError, match="'m' already has a finding"):
-        isolation.candidate_scores(net, *net.finding_masks(findings),
-                                   net.indices(["a", "m"]))
+        isolation.candidate_scores(iso, *iso.finding_masks(findings),
+                                   iso.indices(["a", "m"]))
     with pytest.raises(ValueError, match="'t' already has a finding"):
         sv.select_next_sensor(iso, findings, {"g", "t"})
     with pytest.raises(ValueError, match="'t' already has a finding"):
         sv.conditional_average_entropy(iso, findings, "t")
-    assert net.select_memo == {}
+    assert iso.select_memo == {}

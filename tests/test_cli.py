@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -439,3 +440,73 @@ class TestSimulateAndCompare:
                    "--data", str(data), "--experiments", "2",
                    "--out", str(tmp_path / "p.csv")])
         assert rc == 2
+
+
+@pytest.mark.parametrize("rows", [0, 2])
+def test_simulate_refuses_a_bad_threshold(tmp_path, capsys, rows):
+    data = tmp_path / "rows.csv"
+    lines = Path(READINGS).read_text().splitlines()
+    data.write_text("\n".join(lines[:1 + rows]) + "\n")
+    out = tmp_path / "report.csv"
+    rc = main(["simulate", "--network", NET, "--discretizer", DISC,
+               "--data", str(data), "--declare", "1.5", "--out", str(out)])
+    assert rc == 2
+    assert "declaration threshold must lie in (0, 1)" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "simulate", "learn",
+                                     "compare"])
+@pytest.mark.parametrize("row, message", [
+    ("0.1,0.1,0.1", "CSV line 3 has 3 cells, the header 5"),
+    ("0.1,x,0.1,0.1,0.1", "CSV line 3, column 'g': 'x' is not a number")])
+def test_bad_csv_row_is_an_input_error(tmp_path, capsys, command, row,
+                                       message):
+    lines = Path(READINGS).read_text().splitlines()[:2]
+    data = tmp_path / "rows.csv"
+    data.write_text("\n".join(lines + [row]) + "\n")
+    out = tmp_path / "out.txt"
+    model = (["--structure", STRUCTURE] if command == "learn"
+             else ["--network", NET, "--discretizer", DISC])
+    rc = main([command, *model, "--data", str(data), "--out", str(out)])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+class TestOutputDigests:
+    """SHA-256 pins of whole outputs on the fixture readings: a change that
+    moves one sensor order, one belief or one report count shows here.
+    ``elapsed_ms`` is wall time, so it is dropped from each step line."""
+
+    @staticmethod
+    def digest(text: str) -> str:
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    @pytest.mark.parametrize("tree, want", [
+        (None, "efc713d698381946293d02af8e281bb3"
+               "b6ab565087f1d3bc4d91ca2467d2a5bd"),
+        ("reference_pruned.tree.json", "db4a5fb9cfee7c84cdfa3aee5c6d53be"
+                                       "de8008284f97e7b3e5ad31200165b0d1")])
+    def test_validate_lines(self, tmp_path, tree, want):
+        out = tmp_path / "steps.jsonl"
+        argv = ["validate", "--network", NET, "--discretizer", DISC,
+                "--data", READINGS, "--out", str(out)]
+        if tree:
+            argv += ["--tree", str(FIXTURES / tree)]
+        assert main(argv) == 0
+        lines = []
+        for line in out.read_text().splitlines():
+            record = json.loads(line)
+            del record["elapsed_ms"]
+            lines.append(json.dumps(record))
+        assert len(lines) >= 40 * 4
+        assert self.digest("\n".join(lines)) == want
+
+    def test_simulate_report(self, tmp_path):
+        out = tmp_path / "report.csv"
+        assert main(["simulate", "--network", NET, "--discretizer", DISC,
+                     "--data", READINGS, "--seed", "0",
+                     "--out", str(out)]) == 0
+        assert self.digest(out.read_text()) == (
+            "dec882516cecbec7636b92cc44d5d46fa2ab4ff45e277d5e5f4de8cc329e18d3")

@@ -461,6 +461,16 @@ class TestDatasetCsv:
         with pytest.raises(ValueError, match="header"):
             Dataset.from_csv("")
 
+    def test_short_row_names_its_line(self):
+        with pytest.raises(ValueError, match="CSV line 3 has 1 cells, "
+                                             "the header 2"):
+            Dataset.from_csv("a,b\n1,2\n3\n")
+
+    def test_bad_cell_names_its_line_and_column(self):
+        with pytest.raises(ValueError, match="CSV line 2, column 'b': "
+                                             "'x' is not a number"):
+            Dataset.from_csv("a,b\n1,x\n")
+
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="finite"):
             Dataset(("a",), np.array([[np.inf]]))

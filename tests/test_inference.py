@@ -334,12 +334,11 @@ class TestNoisyOrPosteriors:
         priors = {r: float(rng.uniform(0.2, 0.8)) for r in roots}
         iso = IsolationNet(tuple(roots), parents_of, NoisyOrParams(strengths),
                            priors)
-        net = iso.compiled
         faulty_roots = [r for r in roots if rng.random() < 0.5]
-        faulty = net.mask(faulty_roots)
-        correct = net.mask(roots) & ~faulty
+        faulty = iso.mask(faulty_roots)
+        correct = iso.mask(roots) & ~faulty
         # 12 roots stay below the default limit, so this enumerates
-        enum = noisy_or_root_posteriors(net, faulty, correct)
+        enum = noisy_or_root_posteriors(iso, faulty, correct)
         # a limit of 2 sends every component of two or more roots through
         # variable elimination
         monkeypatch.setattr(isolation, "ENUMERATION_LIMIT", 2)
@@ -347,7 +346,7 @@ class TestNoisyOrPosteriors:
         solve = isolation._component_marginals_ve
         monkeypatch.setattr(isolation, "_component_marginals_ve",
                             lambda *args: solves.append(args) or solve(*args))
-        ve = noisy_or_root_posteriors(net, faulty, correct)
+        ve = noisy_or_root_posteriors(iso, faulty, correct)
         assert solves, "the patched limit did not reach the solver"
         expanded = iso.to_bayes_net()
         ev = {apparent_name(r): "faulty" if r in faulty_roots else "correct"
