@@ -37,7 +37,11 @@ for s in net.names():
         note = "  <- apparent fault: t is in this sensor's blanket"
     print(f"  validate {s}: {status.status}{note}")
 
-dist = sv.predict_distribution(net, disc, faulted, "g")
-mu, sd = sv.posterior_moments(dist, disc, "g")
+# the moments of g's prediction over its interval midpoints, which the
+# sigma criterion compares the reading with
+p = sv.predict_distribution(net, disc, faulted, "g").probabilities
+mids = disc.midpoints("g")
+mu = float((p * mids).sum())
+sd = float((p * (mids - mu) ** 2).sum()) ** 0.5
 print(f"\ng's prediction from its blanket: mean {mu:.3f}, std {sd:.3f}, "
       f"actual {faulted['g']:.3f}")

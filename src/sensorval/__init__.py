@@ -16,9 +16,8 @@ from .inference import (Distribution, InconsistentEvidenceError,
                         NoisyOrParams, brute_force_posterior, noisy_or_row,
                         posterior_marginal)
 from .detection import (ApparentStatus, DetectionCriterion, Discretizer,
-                        apply_criterion, discretizer_from_json,
-                        discretizer_to_json, fit_discretizer,
-                        posterior_moments, predict_distribution,
+                        discretizer_from_json, discretizer_to_json,
+                        fit_discretizer, predict_distribution,
                         validate_sensor)
 from .isolation import (IsolationNet, build_isolation_network, declare_faults,
                         fault_belief)

@@ -14,9 +14,9 @@ from dataclasses import asdict, dataclass
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .detection import DetectionCriterion, Discretizer, validate_sensor
-from .isolation import (CORRECT, FAULTY, IsolationNet, _remember,
-                        candidate_scores, fault_belief)
-from .model import BayesNet, EmbTable, _name
+from .isolation import (CORRECT, FAULTY, IsolationNet, candidate_scores,
+                        fault_belief)
+from .model import BayesNet, EmbTable, _name, remember
 
 
 def binary_entropy(p: float) -> float:
@@ -69,7 +69,7 @@ def select_next_sensor(iso: IsolationNet, findings: Mapping[str, str],
         best = scores.min()
         choice = next(s for s, v in zip(candidates, scores)
                       if v - best <= TIE_TOLERANCE)
-        _remember(iso.select_memo, key, choice)
+        remember(iso.select_memo, key, choice)
     return choice
 
 

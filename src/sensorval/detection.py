@@ -7,8 +7,9 @@ classified apparently correct or faulty under a configurable criterion.
 The prediction always conditions on the whole blanket, so it is a product
 of CPT slices (``BlanketKernel``), built once per network and sensor on
 first use and cached on the network. Each kernel also memoises its
-predictions by blanket state; the criterion reads a prediction through one
-summary (``Prediction``), taken on every call.
+predictions by blanket state (``model.remember``). One function turns a
+prediction into a verdict, ``DetectionCriterion.faulty``, and it computes
+only what its criterion reads.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ import numpy as np
 
 from .inference import (_EVIDENCE_EPS, Distribution,
                         InconsistentEvidenceError, posterior_marginal)
-from .model import BayesNet, json_object, malformed_part, markov_blanket
+from .model import (BayesNet, json_object, malformed_part, markov_blanket,
+                    remember)
 
 if TYPE_CHECKING:
     from .harness import Dataset
@@ -32,8 +34,6 @@ if TYPE_CHECKING:
 DEFAULT_BINS = 10
 
 SIGMA, PVALUE, TAU = "sigma", "pvalue", "tau"
-# Predictions a kernel keeps before its memo is cleared (about 0.3 kB each).
-PREDICTION_MEMO_CAP = 1 << 10
 
 
 class DiscretizerError(ValueError):
@@ -143,6 +143,25 @@ class DetectionCriterion:
         if self.kind in (PVALUE, TAU) and not 0 < self.parameter < 1:
             raise ValueError(f"{self.kind} parameter must lie in (0, 1)")
 
+    def faulty(self, x: float, p: np.ndarray, d: Discretizer,
+               sensor: str) -> bool:
+        """Whether the reading x of the sensor is apparently faulty, given
+        its predicted distribution p over the discretizer's intervals.
+
+        tau reads the probability of x's interval; sigma and pvalue read
+        the mean of p over the interval midpoints and each midpoint's
+        distance from it, and sigma also the standard deviation.
+        """
+        if self.kind == TAU:
+            return float(p[d.index(sensor, x)]) < self.parameter
+        midpoints = d.midpoints(sensor)
+        mean = float((p * midpoints).sum())
+        deviations = np.abs(midpoints - mean)
+        if self.kind == SIGMA:
+            sigma = float(np.sqrt(max(float((p * deviations ** 2).sum()), 0.0)))
+            return abs(x - mean) > self.parameter * sigma
+        return float(p[deviations >= abs(x - mean)].sum()) < self.parameter
+
 
 @dataclass(frozen=True)
 class ApparentStatus:
@@ -152,31 +171,6 @@ class ApparentStatus:
     @property
     def status(self) -> str:
         return "faulty" if self.faulty else "correct"
-
-
-class Prediction:
-    """P(sensor | blanket) with what every criterion reads: its mean over
-    the sensor's interval midpoints, each midpoint's distance from that
-    mean, and its standard deviation."""
-
-    __slots__ = ("probabilities", "mean", "deviations", "sigma")
-
-    def __init__(self, probabilities: np.ndarray, midpoints: np.ndarray):
-        p = self.probabilities = probabilities
-        self.mean = mu = float((p * midpoints).sum())
-        self.deviations = np.abs(midpoints - mu)
-        self.sigma = float(np.sqrt(max(float((p * self.deviations ** 2).sum()),
-                                       0.0)))
-
-    def faulty(self, x: float, d: Discretizer, sensor: str,
-               criterion: DetectionCriterion) -> bool:
-        """Whether the reading x is apparently faulty under the criterion."""
-        if criterion.kind == SIGMA:
-            return abs(x - self.mean) > criterion.parameter * self.sigma
-        if criterion.kind == PVALUE:
-            tail = self.probabilities[self.deviations >= abs(x - self.mean)]
-            return float(tail.sum()) < criterion.parameter
-        return float(self.probabilities[d.index(sensor, x)]) < criterion.parameter
 
 
 class BlanketKernel:
@@ -278,9 +272,7 @@ class BlanketKernel:
             else:
                 p = self.probabilities(np.array(codes, dtype=np.intp))
             p.setflags(write=False)
-            if len(self.memo) >= PREDICTION_MEMO_CAP:
-                self.memo.clear()
-            self.memo[key] = p
+            remember(self.memo, key, p)
         return p
 
 
@@ -306,20 +298,6 @@ def predict_distribution(net: BayesNet, d: Discretizer,
     return Distribution(sensor, kernel.predict(net, d, reading))
 
 
-def posterior_moments(dist: Distribution, d: Discretizer,
-                      sensor: str) -> tuple[float, float]:
-    """Mean and standard deviation of the posterior over interval midpoints."""
-    prediction = Prediction(dist.probabilities, d.midpoints(sensor))
-    return prediction.mean, prediction.sigma
-
-
-def apply_criterion(x: float, dist: Distribution, d: Discretizer,
-                    sensor: str, criterion: DetectionCriterion) -> ApparentStatus:
-    """Classify the reading x against the predicted posterior."""
-    prediction = Prediction(dist.probabilities, d.midpoints(sensor))
-    return ApparentStatus(sensor, prediction.faulty(x, d, sensor, criterion))
-
-
 def validate_sensor(net: BayesNet, d: Discretizer,
                     reading: Mapping[str, float], sensor: str,
                     criterion: DetectionCriterion) -> ApparentStatus:
@@ -331,5 +309,4 @@ def validate_sensor(net: BayesNet, d: Discretizer,
     if not math.isfinite(x):
         raise ValueError(f"non-finite reading {x!r} of sensor {sensor!r}")
     p = blanket_kernel(net, sensor, d.bins).predict(net, d, reading)
-    prediction = Prediction(p, d.midpoints(sensor))
-    return ApparentStatus(sensor, prediction.faulty(x, d, sensor, criterion))
+    return ApparentStatus(sensor, criterion.faulty(x, p, d, sensor))

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -43,7 +44,9 @@ class Dataset:
             if s in self.sensors[:i]:
                 raise ValueError(f"column {s!r} appears twice")
         if not np.all(np.isfinite(values)):
-            raise ValueError("dataset contains non-finite values")
+            r, c = np.argwhere(~np.isfinite(values))[0]
+            raise ValueError(f"row {r}, column {self.sensors[c]!r}: "
+                             f"{float(values[r, c])!r} is not a finite number")
 
     def __len__(self) -> int:
         return self.values.shape[0]
@@ -81,10 +84,14 @@ class Dataset:
             values = []
             for name, cell in zip(header, row):
                 try:
-                    values.append(float(cell))
+                    value = float(cell)
                 except ValueError:
                     raise ValueError(f"CSV line {line}, column {name!r}: "
                                      f"{cell!r} is not a number") from None
+                if not math.isfinite(value):
+                    raise ValueError(f"CSV line {line}, column {name!r}: "
+                                     f"{cell!r} is not a finite number")
+                values.append(value)
             rows.append(values)
         values = np.array(rows, dtype=float) if rows else np.empty((0, len(header)))
         return cls(tuple(header), values)

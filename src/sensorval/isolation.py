@@ -18,7 +18,7 @@ import numpy as np
 
 from .inference import (_EVIDENCE_EPS, InconsistentEvidenceError,
                         NoisyOrParams, factor_marginals, noisy_or_row)
-from .model import BayesNet, Cpt, EmbTable, Variable
+from .model import BayesNet, Cpt, EmbTable, Variable, remember
 
 FAULT, OK = "fault", "ok"
 FAULTY, CORRECT = "faulty", "correct"
@@ -27,8 +27,6 @@ DEFAULT_LINK_STRENGTH = 0.99
 DEFAULT_PRIOR = 0.5
 # Components with more root assignments take variable elimination (tests patch it).
 ENUMERATION_LIMIT = 2 ** 16
-# Entries each memo of a network holds before it is cleared.
-MEMO_CAP = 1 << 14
 
 
 def root_name(sensor: str) -> str:
@@ -55,7 +53,9 @@ class IsolationNet:
     ``bit`` to 1 << i; sets of sensors are int bitmasks with bit i for
     ``sensors[i]``. ``select_memo`` belongs to
     ``anytime.select_next_sensor``, which memoises its choices there, and
-    ``branch_memo`` to ``branch_posteriors``' faulty-branch solves.
+    ``branch_memo`` to ``branch_posteriors``' faulty-branch solves; both
+    store through ``model.remember``, which caps each at ``model.MEMO_CAP``
+    entries.
     """
 
     __slots__ = ("sensors", "parents_of", "params", "priors", "index", "bit",
@@ -260,16 +260,8 @@ def _faulty_branch(net: IsolationNet, roots: int, effects: list,
                           net.log_odds[members] + active_log,
                           net.prior[members] * np.exp(active_log))
         if enumerated:
-            _remember(net.branch_memo, key, post)
+            remember(net.branch_memo, key, post)
     return members, post
-
-
-def _remember(memo: dict, key, value) -> None:
-    """Store ``value`` in one of a network's memos, clearing the memo first
-    once it holds ``MEMO_CAP`` entries."""
-    if len(memo) >= MEMO_CAP:
-        memo.clear()
-    memo[key] = value
 
 
 def candidate_scores(net: IsolationNet, faulty: int, correct: int,
@@ -277,7 +269,7 @@ def candidate_scores(net: IsolationNet, faulty: int, correct: int,
     """Conditional average entropy of each candidate: the mean binary
     entropy of the root posteriors after a correct finding plus that after
     a faulty one. Smaller means the validation is more informative."""
-    p = branch_posteriors(net, faulty, correct, candidates).clip(0.0, 1.0)
+    p = branch_posteriors(net, faulty, correct, candidates)
     q = 1.0 - p
     with np.errstate(divide="ignore", invalid="ignore"):
         h = -(p * np.log2(p) + q * np.log2(q))
@@ -351,7 +343,8 @@ def _component(net, members, effects, unary, w1):
         smallest = total.min()
     if smallest <= _EVIDENCE_EPS:
         raise InconsistentEvidenceError("findings have probability zero")
-    return (bits.T @ weights) / total
+    # a subset's sum of weights can round above the total
+    return np.minimum((bits.T @ weights) / total, 1.0)
 
 
 def _component_marginals_ve(net, members, effects, w1) -> np.ndarray:

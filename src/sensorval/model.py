@@ -18,6 +18,18 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 ROW_SUM_TOL = 1e-9
+# Entries any one memo holds before it is cleared (tests patch it).
+MEMO_CAP = 1 << 10
+
+
+def remember(memo: dict, key, value) -> None:
+    """Store ``value`` in ``memo``, clearing the memo first once it holds
+    ``MEMO_CAP`` entries. Every memo of the library stores through here: a
+    blanket kernel's predictions and an isolation network's choices and
+    faulty-branch solves."""
+    if len(memo) >= MEMO_CAP:
+        memo.clear()
+    memo[key] = value
 
 
 class NetworkError(Exception):

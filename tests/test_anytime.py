@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import sensorval as sv
-from sensorval import isolation
+from sensorval import isolation, model
 from sensorval.anytime import TreeNode
 from sensorval.isolation import CORRECT, FAULTY
 from sensorval.benchmarks import tree21_benchmark
@@ -170,7 +170,7 @@ class TestSelectionMemo:
             assert sv.select_next_sensor(other, findings, rest) == want
 
     def test_cap_clears_the_memo(self, monkeypatch):
-        monkeypatch.setattr(isolation, "MEMO_CAP", 3)
+        monkeypatch.setattr(model, "MEMO_CAP", 3)
         iso = self.build()
         memo = iso.select_memo
         states = list(reference_states())[:5]
@@ -245,7 +245,7 @@ class TestBranchMemo:
         np.testing.assert_allclose(eliminated, enumerated, rtol=0, atol=1e-12)
 
     def test_cap_clears_the_memo(self, monkeypatch):
-        monkeypatch.setattr(isolation, "MEMO_CAP", 3)
+        monkeypatch.setattr(model, "MEMO_CAP", 3)
         iso = sv.build_isolation_network(sv.EmbTable(REFERENCE_EMB))
         # five distinct faulty branches: 1, 2, 3, cleared, 1, 2
         self.branches(iso, {}, set(REFERENCE_EMB))

@@ -459,7 +459,11 @@ def test_simulate_refuses_a_bad_threshold(tmp_path, capsys, rows):
                                      "compare"])
 @pytest.mark.parametrize("row, message", [
     ("0.1,0.1,0.1", "CSV line 3 has 3 cells, the header 5"),
-    ("0.1,x,0.1,0.1,0.1", "CSV line 3, column 'g': 'x' is not a number")])
+    ("0.1,x,0.1,0.1,0.1", "CSV line 3, column 'g': 'x' is not a number"),
+    ("0.1,nan,0.1,0.1,0.1",
+     "CSV line 3, column 'g': 'nan' is not a finite number"),
+    ("0.1,0.1,inf,0.1,0.1",
+     "CSV line 3, column 'm': 'inf' is not a finite number")])
 def test_bad_csv_row_is_an_input_error(tmp_path, capsys, command, row,
                                        message):
     lines = Path(READINGS).read_text().splitlines()[:2]

@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 import sensorval as sv
-from sensorval import detection
+from sensorval import detection, model
 from sensorval.detection import Discretizer, DiscretizerError
-from sensorval.inference import Distribution
 
 
 def make_disc(lo=0.0, hi=10.0, bins=10, sensor="s"):
@@ -122,55 +121,77 @@ class TestPredictDistribution:
         np.testing.assert_allclose(a.probabilities, b.probabilities)
 
 
+def judge(probs, d, x, criterion, sensor="s"):
+    """The verdict on reading x of a sensor predicted as ``probs``."""
+    return criterion.faulty(x, np.asarray(probs, dtype=float), d, sensor)
+
+
+SIGMA1 = sv.DetectionCriterion("sigma", 1.0)
+
+
 class TestMoments:
+    """The mean and standard deviation the sigma criterion reads, seen
+    through its verdict: faulty iff abs(x - mean) > k * sigma."""
+
     def test_point_mass(self):
         d = make_disc()
         p = np.zeros(10)
         p[3] = 1.0
-        mu, sd = sv.posterior_moments(Distribution("s", p), d, "s")
-        assert mu == pytest.approx(3.5)
-        assert sd == 0.0
+        # mean 3.5, sigma 0: only the mean itself is within k * sigma
+        assert not judge(p, d, 3.5, SIGMA1)
+        assert judge(p, d, 3.5 + 1e-9, SIGMA1)
+        assert judge(p, d, 3.5 - 1e-9, SIGMA1)
 
     def test_uniform_two_bins(self):
         d = make_disc(0.0, 10.0, bins=2)
-        mu, sd = sv.posterior_moments(Distribution("s", np.array([0.5, 0.5])),
-                                      d, "s")
-        assert mu == pytest.approx(5.0)
-        assert sd == pytest.approx(2.5)
+        p = [0.5, 0.5]
+        # mean 5.0, sigma 2.5
+        for x in (2.5, 5.0, 7.5):
+            assert not judge(p, d, x, SIGMA1)
+        for x in (2.5 - 1e-9, 7.5 + 1e-9):
+            assert judge(p, d, x, SIGMA1)
 
     def test_matches_direct_recomputation(self, ref):
         dist = sv.predict_distribution(ref.net, ref.discretizer,
                                        ref.test.row(40), "g")
-        mu, sd = sv.posterior_moments(dist, ref.discretizer, "g")
         mids = ref.discretizer.midpoints("g")
         p = dist.probabilities
-        assert mu == pytest.approx(float(p @ mids), abs=1e-12)
-        assert sd == pytest.approx(
-            float(np.sqrt(p @ (mids - p @ mids) ** 2)), abs=1e-12)
+        mu = float(p @ mids)
+        sd = float(np.sqrt(p @ (mids - mu) ** 2))
+        assert sd > 0
+        for side in (-1, 1):
+            assert not judge(p, ref.discretizer, mu + side * (1 - 1e-9) * sd,
+                             SIGMA1, "g")
+            assert judge(p, ref.discretizer, mu + side * (1 + 1e-9) * sd,
+                         SIGMA1, "g")
 
 
 class TestApplyCriterion:
-    def dist(self, probs):
-        return Distribution("s", np.asarray(probs, dtype=float))
+    """``DetectionCriterion.faulty``, the one verdict of every criterion."""
+
+    @staticmethod
+    def mean(probs, d):
+        # summed as the verdict sums it: ``@`` may round the other way
+        return float((np.asarray(probs) * d.midpoints("s")).sum())
 
     def test_zero_deviation_correct_everywhere(self):
         d = make_disc()
-        dist = self.dist([0.05] * 5 + [0.55] + [0.05] * 4)
-        mu, _ = sv.posterior_moments(dist, d, "s")
+        p = [0.05] * 5 + [0.55] + [0.05] * 4
+        mu = self.mean(p, d)
         for crit in (sv.DetectionCriterion("sigma", 2.0),
                      sv.DetectionCriterion("pvalue", 0.05),
                      sv.DetectionCriterion("tau", 0.1)):
-            assert not sv.apply_criterion(mu, dist, d, "s", crit).faulty
+            assert not judge(p, d, mu, crit)
 
     def test_sigma_flags_big_deviation(self):
         d = make_disc()
-        dist = self.dist([0.1] * 10)
-        mu, sd = sv.posterior_moments(dist, d, "s")
-        x = mu + 3 * sd
-        assert sv.apply_criterion(x, dist, d, "s",
-                                  sv.DetectionCriterion("sigma", 2.0)).faulty
-        assert not sv.apply_criterion(mu + sd, dist, d, "s",
-                                      sv.DetectionCriterion("sigma", 2.0)).faulty
+        p = [0.1] * 10
+        mu = self.mean(p, d)
+        deviations = d.midpoints("s") - mu
+        sd = float(np.sqrt((np.asarray(p) * deviations ** 2).sum()))
+        crit = sv.DetectionCriterion("sigma", 2.0)
+        assert judge(p, d, mu + 3 * sd, crit)
+        assert not judge(p, d, mu + sd, crit)
 
     def test_sigma_monotone_in_deviation(self):
         rng = np.random.default_rng(3)
@@ -178,34 +199,31 @@ class TestApplyCriterion:
         crit = sv.DetectionCriterion("sigma", 2.0)
         for _ in range(30):
             p = rng.uniform(0.01, 1.0, 10)
-            dist = self.dist(p / p.sum())
-            mu, _ = sv.posterior_moments(dist, d, "s")
+            p /= p.sum()
+            mu = self.mean(p, d)
             xs = sorted(rng.uniform(-2, 12, 2), key=lambda x: abs(x - mu))
             near, far = xs
-            if sv.apply_criterion(near, dist, d, "s", crit).faulty:
-                assert sv.apply_criterion(far, dist, d, "s", crit).faulty
+            if judge(p, d, near, crit):
+                assert judge(p, d, far, crit)
 
     def test_pvalue_tail_full_at_nearest_midpoint(self):
         d = make_disc()
-        dist = self.dist([0.1] * 10)
-        mu, _ = sv.posterior_moments(dist, d, "s")
+        p = [0.1] * 10
+        mu = self.mean(p, d)
         nearest = min(d.midpoints("s"), key=lambda m: abs(m - mu))
-        status = sv.apply_criterion(nearest, dist, d, "s",
-                                    sv.DetectionCriterion("pvalue", 0.999))
-        assert not status.faulty
+        assert not judge(p, d, nearest, sv.DetectionCriterion("pvalue", 0.999))
 
     def test_pvalue_flags_far_tail(self):
         d = make_disc()
-        dist = self.dist([0.001] * 5 + [0.196] + [0.796] + [0.001] * 3)
-        assert sv.apply_criterion(0.2, dist, d, "s",
-                                  sv.DetectionCriterion("pvalue", 0.01)).faulty
+        p = [0.001] * 5 + [0.196] + [0.796] + [0.001] * 3
+        assert judge(p, d, 0.2, sv.DetectionCriterion("pvalue", 0.01))
 
     def test_tau_checks_observed_interval(self):
         d = make_disc()
-        dist = self.dist([0.6, 0.3] + [0.0125] * 8)
+        p = [0.6, 0.3] + [0.0125] * 8
         crit = sv.DetectionCriterion("tau", 0.1)
-        assert not sv.apply_criterion(0.5, dist, d, "s", crit).faulty
-        assert sv.apply_criterion(9.5, dist, d, "s", crit).faulty
+        assert not judge(p, d, 0.5, crit)
+        assert judge(p, d, 9.5, crit)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -342,19 +360,23 @@ class TestPredictionMemo:
 
     def test_discretizers_with_other_bounds_do_not_share(self):
         # equal bins and equal blanket codes, but b's midpoints differ: the
-        # summary the criteria read must come from the discretizer given
+        # moments the criteria read must come from the discretizer given
         narrow = Discretizer(3, {v: (0.0, 3.0) for v in "abc"})
         wide = Discretizer(3, {"a": (0.0, 3.0), "b": (0.0, 6.0),
                                "c": (0.0, 3.0)})
         reading = {"a": 1.5, "b": 1.5, "c": 0.5}
+
+        def moments(net, d):
+            p = sv.predict_distribution(net, d, reading, "b").probabilities
+            mids = d.midpoints("b")
+            mu = float(p @ mids)
+            return mu, float(np.sqrt(p @ (mids - mu) ** 2))
+
         net = chain_net(6)
-        moments = {}
-        for name, d in (("narrow", narrow), ("wide", wide)):
-            dist = sv.predict_distribution(net, d, reading, "b")
-            moments[name] = sv.posterior_moments(dist, d, "b")
-        cold = sv.predict_distribution(chain_net(6), wide, reading, "b")
-        assert moments["wide"] == sv.posterior_moments(cold, wide, "b")
-        assert moments["wide"] != moments["narrow"]
+        warm = {name: moments(net, d)
+                for name, d in (("narrow", narrow), ("wide", wide))}
+        assert warm["wide"] == moments(chain_net(6), wide)
+        assert warm["wide"] != warm["narrow"]
         for d in (narrow, wide):
             self.assert_judged_alike(net, lambda: chain_net(6), d, reading,
                                      "b", np.linspace(0.0, 6.0, 25))
@@ -366,7 +388,7 @@ class TestPredictionMemo:
             dist.probabilities[0] = 1.0
 
     def test_cap_clears_the_memo(self, monkeypatch):
-        monkeypatch.setattr(detection, "PREDICTION_MEMO_CAP", 2)
+        monkeypatch.setattr(model, "MEMO_CAP", 2)
         net = chain_net(7)
         d = Discretizer(3, {v: (0.0, 3.0) for v in "abc"})
         sizes = []

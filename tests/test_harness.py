@@ -474,3 +474,6 @@ class TestDatasetCsv:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="finite"):
             Dataset(("a",), np.array([[np.inf]]))
+        with pytest.raises(ValueError, match="row 1, column 'b': nan is not "
+                                             "a finite number"):
+            Dataset(("a", "b"), np.array([[1.0, 2.0], [3.0, np.nan]]))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import sensorval as sv
+from sensorval import isolation
 from sensorval.isolation import apparent_name, root_name
 from conftest import REFERENCE_EMB, WORKED_EXAMPLE_ROWS, random_emb_table
 
@@ -127,6 +128,27 @@ class TestFaultBelief:
                     want = sv.brute_force_posterior(net, ev, root_name(s))
                     assert pf[s] == pytest.approx(want.probabilities[1],
                                                   abs=1e-9)
+
+    def test_posteriors_stay_within_the_unit_interval(self):
+        # s3's enumerated component once summed its fault weights to
+        # 1.0000000000000002 of the total, and ``quality`` refused that
+        leaves = ("s1", "s2", "s4", "s5", "s6")
+        emb = sv.EmbTable({"s3": {"s3", *leaves},
+                           **{s: {s, "s3"} for s in leaves}})
+        iso = sv.build_isolation_network(emb, prior=1e-4, link_overrides={
+            ("s3", "s3"): 0.6808031625922248, ("s4", "s3"): 0.05,
+            ("s3", "s4"): 0.6, ("s3", "s6"): 0.4097325962820458})
+        findings = {"s1": "faulty", "s3": "correct", "s4": "faulty",
+                    "s5": "faulty", "s6": "faulty"}
+        pf = sv.fault_belief(iso, findings)
+        assert all(0.0 <= p <= 1.0 for p in pf.values()), pf
+        assert 0.0 <= sv.quality(pf) <= 1.0
+        for sensor in findings:
+            state = {s: st for s, st in findings.items() if s != sensor}
+            rest = sorted(set(iso.sensors) - state.keys())
+            branches = isolation.branch_posteriors(
+                iso, *iso.finding_masks(state), iso.indices(rest))
+            assert ((0.0 <= branches) & (branches <= 1.0)).all(), sensor
 
     @pytest.mark.parametrize("c", [1e-6, 1e-9, 1e-17])
     def test_weak_links_keep_precision(self, c):
