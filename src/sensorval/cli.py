@@ -2,7 +2,11 @@
 
 Validation steps stream as JSON lines flushed per step, so a consumer can
 act on partial results at any moment. All randomness flows from --seed.
-Exit codes: 0 success, 2 input error, 1 runtime error.
+Exit codes: 0 success, 2 input error, 1 runtime error. Input is checked
+where it enters: a bad file, CSV, option value or decision tree raises
+InputError (or the NetworkError and DiscretizerError of the loaders), and
+any other exception, a KeyError or ValueError included, is a runtime
+error.
 """
 
 from __future__ import annotations
@@ -31,10 +35,26 @@ def _read(path: str, what: str) -> str:
     return p.read_text()
 
 
+def _read_data(path: str, what: str, sensors) -> harness.Dataset:
+    """The CSV at ``path``, with a column for every one of ``sensors``."""
+    text = _read(path, what)
+    try:
+        data = harness.Dataset.from_csv(text)
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
+    missing = [s for s in sensors if s not in data.sensors]
+    if missing:
+        raise InputError(f"{what} CSV is missing columns {missing}")
+    return data
+
+
 def _criterion(args) -> detection.DetectionCriterion:
     kind = args.criterion
     parameter = {"sigma": args.k, "pvalue": args.p, "tau": args.tau}[kind]
-    return detection.DetectionCriterion(kind, parameter)
+    try:
+        return detection.DetectionCriterion(kind, parameter)
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
 
 
 def _load_model(args):
@@ -59,18 +79,18 @@ def _load_tree(args, iso) -> anytime.DecisionTree | None:
 
 
 def _build_isolation(net, args) -> isolation.IsolationNet:
-    return isolation.build_isolation_network(
-        model.emb_table(net), link_strength=args.c, prior=args.prior)
+    try:
+        return isolation.build_isolation_network(
+            model.emb_table(net), link_strength=args.c, prior=args.prior)
+    except ValueError as exc:            # --c or --prior out of range
+        raise InputError(str(exc)) from None
 
 
 def cmd_learn(args) -> int:
     structure = model.load_structure(_read(args.structure, "structure"))
-    data = harness.Dataset.from_csv(_read(args.data, "training data"))
+    data = _read_data(args.data, "training data", structure.sensors)
     if len(data) == 0:
         raise InputError("training CSV has no data rows")
-    missing = [s for s in structure.sensors if s not in data.sensors]
-    if missing:
-        raise InputError(f"training data is missing columns {missing}")
     disc = detection.fit_discretizer(data, structure.sensors, bins=args.bins)
     net = harness.learn_parameters(structure, disc, data)
     Path(args.out).write_text(model.save_network(net))
@@ -84,8 +104,7 @@ def cmd_learn(args) -> int:
 def cmd_compile_tree(args) -> int:
     net = model.load_network(_read(args.network, "network"))
     emb = model.emb_table(net)
-    iso = isolation.build_isolation_network(emb, link_strength=args.c,
-                                            prior=args.prior)
+    iso = _build_isolation(net, args)
     start = time.perf_counter()
     tree = anytime.compile_decision_tree(iso, emb=None if args.full else emb)
     seconds = time.perf_counter() - start
@@ -100,10 +119,7 @@ def cmd_validate(args) -> int:
     net, disc = _load_model(args)
     iso = _build_isolation(net, args)
     tree = _load_tree(args, iso)
-    data = harness.Dataset.from_csv(_read(args.data, "readings"))
-    missing = [s for s in net.names() if s not in data.sensors]
-    if missing:
-        raise InputError(f"readings are missing sensor columns {missing}")
+    data = _read_data(args.data, "readings", net.names())
     criterion = _criterion(args)
     out = open(args.out, "w") if args.out else sys.stdout
     try:
@@ -125,7 +141,7 @@ def cmd_simulate(args) -> int:
     net, disc = _load_model(args)
     iso = _build_isolation(net, args)
     tree = _load_tree(args, iso)
-    data = harness.Dataset.from_csv(_read(args.data, "test data"))
+    data = _read_data(args.data, "test data", net.names())
     criterion = _criterion(args)
     severities = (args.severity,) if args.severity else (harness.SEVERE,
                                                          harness.MILD)
@@ -156,9 +172,13 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    if args.experiments < 1:
+        raise InputError("--experiments must be at least 1")
+    if args.seed < 0:
+        raise InputError("--seed must not be negative")
     net, disc = _load_model(args)
     iso = _build_isolation(net, args)
-    data = harness.Dataset.from_csv(_read(args.data, "test data"))
+    data = _read_data(args.data, "test data", net.names())
     if len(data) == 0:
         raise InputError("test CSV has no data rows")
     entropy_q, random_q = harness.compare_selection_policies(
@@ -256,12 +276,11 @@ def main(argv=None) -> int:
         # anytime contract working, not a failure
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_OK
-    except (InputError, model.NetworkError, detection.DiscretizerError,
-            KeyError, ValueError) as exc:
+    except (InputError, model.NetworkError, detection.DiscretizerError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except Exception as exc:  # noqa: BLE001 - runtime failures get exit 1
-        print(f"runtime error: {exc}", file=sys.stderr)
+        print(f"runtime error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 
 

@@ -6,10 +6,21 @@ classified apparently correct or faulty under a configurable criterion.
 
 The prediction always conditions on the whole blanket, so it is a product
 of CPT slices (``BlanketKernel``), built once per network and sensor on
-first use and cached on the network. Each kernel also memoises its
-predictions by blanket state (``model.remember``). One function turns a
-prediction into a verdict, ``DetectionCriterion.faulty``, and it computes
-only what its criterion reads.
+first use and cached on the network.
+
+A criterion turns a prediction into a verdict rule, a function of the
+sensor's reading alone (``DetectionCriterion.rule``): sigma keeps the mean
+and k * sigma; pvalue the mean and the sorted distinct distances of the
+midpoints from it, each with a verdict slot; tau the verdict of each
+interval. Each kernel memoises one entry per blanket state
+(``model.remember``): the read-only prediction and the rules built on it,
+keyed by criterion and the sensor's bounds. Most blanket states repeat,
+so most verdicts are one comparison or one bisection. The pvalue slots
+fill on first need: in a calibration a third of the validations meet a
+new state, where one verdict is needed and filling every slot would cost
+several. With 10 intervals an entry takes about 0.45 kB (the prediction,
+the rule table and one key) plus about 0.35 kB for a sigma rule and
+0.55–0.6 kB for a tau or pvalue rule.
 """
 
 from __future__ import annotations
@@ -17,9 +28,11 @@ from __future__ import annotations
 import json
 import math
 import numbers
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -138,29 +151,78 @@ class DetectionCriterion:
     def __post_init__(self):
         if self.kind not in (SIGMA, PVALUE, TAU):
             raise ValueError(f"unknown criterion kind {self.kind!r}")
+        if not math.isfinite(self.parameter):
+            raise ValueError(f"{self.kind} criterion parameter "
+                             f"{self.parameter!r} is not finite")
         if self.kind == SIGMA and not self.parameter > 0:
             raise ValueError("sigma criterion needs k > 0")
         if self.kind in (PVALUE, TAU) and not 0 < self.parameter < 1:
             raise ValueError(f"{self.kind} parameter must lie in (0, 1)")
 
-    def faulty(self, x: float, p: np.ndarray, d: Discretizer,
-               sensor: str) -> bool:
-        """Whether the reading x of the sensor is apparently faulty, given
-        its predicted distribution p over the discretizer's intervals.
+    def rule(self, p: np.ndarray, d: Discretizer,
+             sensor: str) -> Callable[[float], bool]:
+        """Whether a reading x of the sensor is apparently faulty, as a
+        function of x alone, given the sensor's predicted distribution p
+        over the discretizer's intervals.
 
-        tau reads the probability of x's interval; sigma and pvalue read
+        tau compares the probability of x's interval; sigma and pvalue read
         the mean of p over the interval midpoints and each midpoint's
         distance from it, and sigma also the standard deviation.
         """
+        level = self.parameter
         if self.kind == TAU:
-            return float(p[d.index(sensor, x)]) < self.parameter
+            index = d.index
+            faulty = (p < level).tolist()       # one verdict per interval
+            return lambda x: faulty[index(sensor, x)]
         midpoints = d.midpoints(sensor)
         mean = float((p * midpoints).sum())
         deviations = np.abs(midpoints - mean)
         if self.kind == SIGMA:
             sigma = float(np.sqrt(max(float((p * deviations ** 2).sum()), 0.0)))
-            return abs(x - mean) > self.parameter * sigma
-        return float(p[deviations >= abs(x - mean)].sum()) < self.parameter
+            threshold = level * sigma
+            return lambda x: abs(x - mean) > threshold
+        return _TailRule(p, level, mean, deviations)
+
+    def faulty(self, x: float, p: np.ndarray, d: Discretizer,
+               sensor: str) -> bool:
+        """The verdict of ``rule`` on the reading x."""
+        return self.rule(p, d, sensor)(x)
+
+
+class _TailRule:
+    """The pvalue verdict on a prediction p: a reading x is faulty when the
+    mass of the midpoints at least as far from the mean as x,
+    ``p[deviations >= abs(x - mean)].sum()``, falls below the level.
+
+    That mask equals the mask at the smallest distinct deviation at or
+    beyond abs(x - mean), found by bisection, so each distinct deviation
+    has one verdict slot, filled on first need with the same masked sum.
+    No slot is inferred from another: rounding need not keep the sums
+    monotone in the radius. Past the largest deviation the tail is empty
+    and x is faulty.
+    """
+
+    __slots__ = ("p", "level", "mean", "deviations", "radii", "verdicts")
+
+    def __init__(self, p: np.ndarray, level: float, mean: float,
+                 deviations: np.ndarray):
+        self.p, self.level, self.mean = p, level, mean
+        self.deviations = deviations
+        # sorted(set()) of a few floats costs a fifth of np.unique, and an
+        # array of doubles a third of the memory of a list of floats
+        self.radii = array("d", sorted(set(deviations.tolist())))
+        self.verdicts: list[bool | None] = [None] * len(self.radii)
+
+    def __call__(self, x: float) -> bool:
+        radii = self.radii
+        j = bisect_left(radii, abs(x - self.mean))
+        if j == len(radii):
+            return True
+        verdict = self.verdicts[j]
+        if verdict is None:
+            tail = float(self.p[self.deviations >= radii[j]].sum())
+            verdict = self.verdicts[j] = tail < self.level
+        return verdict
 
 
 @dataclass(frozen=True)
@@ -225,7 +287,7 @@ class BlanketKernel:
         self.slabs = np.concatenate(slabs)
         self.base = np.array(base, dtype=np.intp)
         self.weights = weights
-        self.memo: dict[tuple, np.ndarray] = {}
+        self.memo: dict[tuple, tuple[np.ndarray, dict]] = {}
 
     def codes(self, d: Discretizer, reading: Mapping[str, float]) -> list[int]:
         """Interval codes of the blanket readings, in ``blanket`` order."""
@@ -257,23 +319,31 @@ class BlanketKernel:
                 f"has probability zero")
         return p / z
 
-    def predict(self, net: BayesNet, d: Discretizer,
-                reading: Mapping[str, float]) -> np.ndarray:
-        """Normalized P(sensor | blanket readings), memoised by the
-        blanket's interval codes, of which it is a function. The array is
-        read-only, because every caller with those codes gets it."""
+    def state(self, net: BayesNet, d: Discretizer,
+              reading: Mapping[str, float]) -> tuple[np.ndarray, dict]:
+        """The memo entry of the blanket readings' interval codes: the
+        normalized P(sensor | blanket readings), a function of those codes,
+        and the verdict rules built on it so far, keyed by criterion and
+        the sensor's bounds. The array is read-only, because every caller
+        with those codes gets it."""
         codes = self.codes(d, reading)
         key = tuple(codes)
-        p = self.memo.get(key)
-        if p is None:
+        entry = self.memo.get(key)
+        if entry is None:
             if self.general:
                 evidence = dict(zip(self.blanket, map(str, codes)))
                 p = posterior_marginal(net, evidence, self.sensor).probabilities
             else:
                 p = self.probabilities(np.array(codes, dtype=np.intp))
             p.setflags(write=False)
-            remember(self.memo, key, p)
-        return p
+            entry = (p, {})
+            remember(self.memo, key, entry)
+        return entry
+
+    def predict(self, net: BayesNet, d: Discretizer,
+                reading: Mapping[str, float]) -> np.ndarray:
+        """Normalized P(sensor | blanket readings), memoised (read-only)."""
+        return self.state(net, d, reading)[0]
 
 
 def blanket_kernel(net: BayesNet, sensor: str, bins: int) -> BlanketKernel:
@@ -308,5 +378,12 @@ def validate_sensor(net: BayesNet, d: Discretizer,
     x = reading[sensor]
     if not math.isfinite(x):
         raise ValueError(f"non-finite reading {x!r} of sensor {sensor!r}")
-    p = blanket_kernel(net, sensor, d.bins).predict(net, d, reading)
-    return ApparentStatus(sensor, criterion.faulty(x, p, d, sensor))
+    p, rules = blanket_kernel(net, sensor, d.bins).state(net, d, reading)
+    # the criterion's fields, not the criterion: its generated hash would
+    # be one more Python call per validation
+    lo, hi = d.bounds[sensor]
+    key = (criterion.kind, criterion.parameter, lo, hi)
+    rule = rules.get(key)
+    if rule is None:
+        rule = rules[key] = criterion.rule(p, d, sensor)
+    return ApparentStatus(sensor, rule(x))

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import sensorval as sv
+from sensorval import anytime
 from sensorval.cli import main
 from conftest import FIXTURES
 
@@ -453,6 +454,53 @@ def test_simulate_refuses_a_bad_threshold(tmp_path, capsys, rows):
     assert rc == 2
     assert "declaration threshold must lie in (0, 1)" in capsys.readouterr().err
     assert not out.exists()
+
+
+def run_refused(tmp_path, capsys, argv, message):
+    """``argv`` plus ``--out`` exits 2 with ``message`` and writes nothing."""
+    out = tmp_path / "out.txt"
+    rc = main([*argv, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2 and message in err and "runtime error" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "simulate", "compare"])
+@pytest.mark.parametrize("option, value, message", [
+    ("--k", "inf", "sigma criterion parameter inf is not finite"),
+    ("--k", "0", "sigma criterion needs k > 0"),
+    ("--c", "1", "link strength must lie in (0, 1)"),
+    ("--prior", "0", "prior must lie in (0, 1)")])
+def test_bad_parameter_is_an_input_error(tmp_path, capsys, command, option,
+                                         value, message):
+    run_refused(tmp_path, capsys,
+                [command, "--network", NET, "--discretizer", DISC, "--data",
+                 READINGS, "--criterion", "sigma", option, value], message)
+
+
+@pytest.mark.parametrize("option, value, message", [
+    ("--experiments", "0", "--experiments must be at least 1"),
+    ("--seed", "-1", "--seed must not be negative")])
+def test_bad_compare_option_is_an_input_error(tmp_path, capsys, option,
+                                              value, message):
+    run_refused(tmp_path, capsys,
+                ["compare", "--network", NET, "--discretizer", DISC,
+                 "--data", READINGS, option, value], message)
+
+
+@pytest.mark.parametrize("error", [KeyError, ValueError])
+def test_internal_error_is_a_runtime_error(tmp_path, capsys, monkeypatch,
+                                           error):
+    # a bug inside the library, not bad input: exit 1, not 2
+    def broken(_pf):
+        raise error("internal bug")
+
+    monkeypatch.setattr(anytime, "quality", broken)
+    rc = main(["validate", "--network", NET, "--discretizer", DISC,
+               "--data", READINGS, "--out", str(tmp_path / "steps.jsonl")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"runtime error: {error.__name__}:" in err and "internal bug" in err
 
 
 @pytest.mark.parametrize("command", ["validate", "simulate", "learn",

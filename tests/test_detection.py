@@ -4,6 +4,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import sensorval as sv
 from sensorval import detection, model
@@ -232,6 +233,9 @@ class TestApplyCriterion:
             sv.DetectionCriterion("pvalue", 1.5)
         with pytest.raises(ValueError):
             sv.DetectionCriterion("nope", 0.5)
+        # k * sigma would be inf, or NaN where sigma is 0: never faulty
+        with pytest.raises(ValueError, match="sigma criterion parameter inf"):
+            sv.DetectionCriterion("sigma", math.inf)
 
 
 class TestValidateSensor:
@@ -380,6 +384,10 @@ class TestPredictionMemo:
         for d in (narrow, wide):
             self.assert_judged_alike(net, lambda: chain_net(6), d, reading,
                                      "b", np.linspace(0.0, 6.0, 25))
+        # one entry for the one blanket state, with a rule per criterion
+        # and per bounds of b
+        (_p, rules), = net.blanket_kernels["b"].memo.values()
+        assert len(rules) == len(self.CRITERIA) * 2
 
     def test_cached_probabilities_are_read_only(self, ref):
         dist = sv.predict_distribution(ref.net, ref.discretizer,
@@ -393,9 +401,65 @@ class TestPredictionMemo:
         d = Discretizer(3, {v: (0.0, 3.0) for v in "abc"})
         sizes = []
         for k in range(3):
-            self.predict(net, d, {"a": k + 0.5, "b": 0.5, "c": 0.5}, "b")
+            for criterion in self.CRITERIA:
+                sv.validate_sensor(net, d, {"a": k + 0.5, "b": 0.5, "c": 0.5},
+                                   "b", criterion)
             sizes.append(len(net.blanket_kernels["b"].memo))
         assert sizes == [1, 2, 1]
+
+
+def parent_faulty(criterion, x, p, d, sensor):
+    """The verdict as one expression per criterion, recomputed on every
+    call: the oracle of the memoised rules."""
+    if criterion.kind == "tau":
+        return float(p[d.index(sensor, x)]) < criterion.parameter
+    midpoints = d.midpoints(sensor)
+    mean = float((p * midpoints).sum())
+    deviations = np.abs(midpoints - mean)
+    if criterion.kind == "sigma":
+        sigma = float(np.sqrt(max(float((p * deviations ** 2).sum()), 0.0)))
+        return abs(x - mean) > criterion.parameter * sigma
+    return float(p[deviations >= abs(x - mean)].sum()) < criterion.parameter
+
+
+@st.composite
+def predictions(draw):
+    """A discretizer of 2 to 12 intervals with random bounds, and a
+    normalized prediction over them with some exact zeros. Small integer
+    weights make equal deviations and masses common."""
+    bins = draw(st.integers(2, 12))
+    lo = draw(st.floats(-1e6, 1e6))
+    width = draw(st.floats(1e-3, 1e6))
+    weight = st.one_of(st.just(0.0), st.integers(1, 3).map(float),
+                       st.floats(1e-6, 1.0))
+    w = np.array(draw(st.lists(weight, min_size=bins, max_size=bins)))
+    assume(w.sum() > 0)
+    return Discretizer(bins, {"s": (lo, lo + width)}), w / w.sum()
+
+
+class TestVerdictRules:
+    @settings(max_examples=50, deadline=None)
+    @given(predictions(), st.floats(0.05, 5.0), st.floats(1e-3, 0.999),
+           st.floats(1e-3, 0.999))
+    def test_memoised_verdicts_equal_the_expression(self, case, k, level,
+                                                    tau):
+        d, p = case
+        mids = d.midpoints("s")
+        mean = float((p * mids).sum())
+        xs = [1e308, -1e308, *mids.tolist()]
+        for r in np.unique(np.abs(mids - mean)).tolist():
+            for x in (mean + r, mean - r):
+                xs += [x, math.nextafter(x, -math.inf),
+                       math.nextafter(x, math.inf)]
+        for criterion in (sv.DetectionCriterion("sigma", k),
+                          sv.DetectionCriterion("pvalue", level),
+                          sv.DetectionCriterion("tau", tau)):
+            rule = criterion.rule(p, d, "s")
+            want = [parent_faulty(criterion, x, p, d, "s") for x in xs]
+            # cold, then from slots the earlier readings filled
+            assert [criterion.faulty(x, p, d, "s") for x in xs] == want
+            assert [rule(x) for x in xs] == want
+            assert [rule(x) for x in xs] == want
 
 
 class TestBlanketKernel:
