@@ -13,9 +13,12 @@ import time
 from dataclasses import asdict, dataclass
 from typing import Callable, Iterable, Iterator, Mapping
 
+import numpy as np
+
 from .detection import DetectionCriterion, Discretizer, validate_sensor
-from .isolation import (CORRECT, FAULTY, IsolationNet, candidate_scores,
-                        fault_belief)
+from .isolation import (CORRECT, FAULTY, IsolationNet, _branches, _evidence,
+                        branch_scores, candidate_scores, fault_belief,
+                        noisy_or_root_posteriors)
 from .model import BayesNet, EmbTable, _name, remember
 
 
@@ -65,12 +68,16 @@ def select_next_sensor(iso: IsolationNet, findings: Mapping[str, str],
     key = (*iso.finding_masks(findings), iso.mask(candidates))
     choice = iso.select_memo.get(key)
     if choice is None:
-        scores = candidate_scores(iso, *key[:2], iso.indices(candidates))
-        best = scores.min()
-        choice = next(s for s, v in zip(candidates, scores)
-                      if v - best <= TIE_TOLERANCE)
+        choice = candidates[_best(candidate_scores(iso, *key[:2],
+                                                   iso.indices(candidates)))]
         remember(iso.select_memo, key, choice)
     return choice
+
+
+def _best(scores) -> int:
+    """Position of the first score within TIE_TOLERANCE of the minimum;
+    candidates come in name order, so ties break lexicographically."""
+    return int(np.flatnonzero(scores - scores.min() <= TIE_TOLERANCE)[0])
 
 
 def quality(pf: Mapping[str, float]) -> float:
@@ -142,47 +149,86 @@ def single_fault_consistent(outcomes: Mapping[str, str], emb: EmbTable) -> bool:
     """True when the observed outcomes fit the ideal single-fault model:
     either nothing is faulty, or some sensor's EMB covers every faulty
     observation without touching a correct one."""
-    faulty = {s for s, st in outcomes.items() if st == FAULTY}
-    correct = {s for s, st in outcomes.items() if st == CORRECT}
-    return not faulty or any(faulty <= blanket and not correct & blanket
-                             for blanket in emb.values())
+    bit = {s: 1 << i for i, s in enumerate(outcomes)}
+    faulty = sum(bit[s] for s, st in outcomes.items() if st == FAULTY)
+    correct = sum(bit[s] for s, st in outcomes.items() if st == CORRECT)
+    return _explained(faulty, correct, _blanket_masks(emb, bit))
 
 
-def _grow(pick: Callable, emb: EmbTable | None, findings: dict,
-          node: TreeNode | None) -> TreeNode | None:
-    """The subtree reached by ``findings``; None where ``emb`` is given and
-    no single fault explains the findings, or where ``pick(findings, node)``
-    names no sensor. ``node`` sits at this position in an existing tree."""
-    if emb is not None and not single_fault_consistent(findings, emb):
+def _blanket_masks(emb: EmbTable, bit: Mapping[str, int]) -> list[int]:
+    """Each EMB as a bitmask over ``bit``; members without a bit never have
+    a finding, so they are left out."""
+    return [sum(bit[s] for s in blanket if s in bit)
+            for blanket in emb.values()]
+
+
+def _explained(faulty: int, correct: int, blankets: list[int]) -> bool:
+    """``single_fault_consistent`` on bitmasks of the findings."""
+    return not faulty or any(not faulty & ~blanket and not correct & blanket
+                             for blanket in blankets)
+
+
+def _grow(pick: Callable, bit: Mapping[str, int], blankets: list | None,
+          faulty: int, correct: int, context) -> TreeNode | None:
+    """The subtree reached by the (faulty, correct) finding bitmasks over
+    ``bit``; None where ``blankets`` are given and no single fault explains
+    the findings, or where ``pick(faulty, correct, context)`` names no
+    sensor. Otherwise ``pick`` returns the sensor and the contexts of its
+    faulty and ok subtrees. A sensor found again on one path keeps only
+    its last finding."""
+    if blankets is not None and not _explained(faulty, correct, blankets):
         return None
-    sensor = pick(findings, node)
-    if sensor is None:
+    picked = pick(faulty, correct, context)
+    if picked is None:
         return None
+    sensor, if_faulty, if_ok = picked
+    b = bit[sensor]
     return TreeNode(
         sensor,
-        _grow(pick, emb, {**findings, sensor: FAULTY}, node and node.faulty),
-        _grow(pick, emb, {**findings, sensor: CORRECT}, node and node.ok))
+        _grow(pick, bit, blankets, faulty | b, correct & ~b, if_faulty),
+        _grow(pick, bit, blankets, faulty & ~b, correct | b, if_ok))
 
 
 def compile_decision_tree(iso: IsolationNet,
                           emb: EmbTable | None = None) -> DecisionTree:
-    """Precompile the selection policy into a tree.
+    """Precompile the selection policy into a tree: each node holds the
+    sensor ``select_next_sensor`` picks given the findings above it.
 
-    With ``emb`` given, branches inconsistent with the single-fault model
-    are never expanded; the result is identical to compiling the full tree
-    and then pruning it, but stays buildable for larger sensor sets.
+    Each node is scored once, from its root posteriors, which its parent's
+    scoring solved as the branch of the chosen sensor; the branch rows then
+    become the children's. With ``emb`` given, branches inconsistent with
+    the single-fault model are never expanded; the result is identical to
+    compiling the full tree and then pruning it, but stays buildable for
+    larger sensor sets.
     """
-    def pick(findings, _node):
-        rest = set(iso.sensors) - findings.keys()
-        return select_next_sensor(iso, findings, rest) if rest else None
+    names = sorted(iso.sensors)
 
-    return DecisionTree(_grow(pick, emb, {}, None))
+    def pick(faulty, correct, state):
+        known = faulty | correct
+        candidates = [s for s in names if not iso.bit[s] & known]
+        if not candidates:
+            return None
+        if len(candidates) == 1:        # nothing to choose, here or below
+            return candidates[0], None, None
+        rows = _branches(iso, correct, iso.indices(candidates),
+                         *_evidence(iso, faulty, correct), state)
+        i = _best(branch_scores(rows))
+        return candidates[i], rows[1, i], rows[0, i]
+
+    blankets = None if emb is None else _blanket_masks(emb, iso.bit)
+    return DecisionTree(_grow(pick, iso.bit, blankets, 0, 0,
+                              noisy_or_root_posteriors(iso, 0, 0)))
 
 
 def prune_single_fault(tree: DecisionTree, emb: EmbTable) -> DecisionTree:
     """Cut every branch whose outcome set no single-fault hypothesis explains."""
-    return DecisionTree(_grow(lambda _findings, node: node and node.sensor,
-                              emb, {}, tree.root))
+    bit: dict[str, int] = {}
+    for node, _ in tree._walk():
+        bit.setdefault(node.sensor, 1 << len(bit))
+    return DecisionTree(_grow(
+        lambda _faulty, _correct, node: node and (node.sensor, node.faulty,
+                                                  node.ok),
+        bit, _blanket_masks(emb, bit), 0, 0, tree.root))
 
 
 # --- the validation cycle ---------------------------------------------------

@@ -3,10 +3,11 @@
 Validation steps stream as JSON lines flushed per step, so a consumer can
 act on partial results at any moment. All randomness flows from --seed.
 Exit codes: 0 success, 2 input error, 1 runtime error. Input is checked
-where it enters: a bad file, CSV, option value or decision tree raises
-InputError (or the NetworkError and DiscretizerError of the loaders), and
-any other exception, a KeyError or ValueError included, is a runtime
-error.
+where it enters: a bad file, CSV, option value or decision tree, an input
+file that cannot be read as text or an output path that cannot be written
+raises InputError (or the NetworkError and DiscretizerError of the
+loaders), and any other exception, a KeyError or ValueError included, is
+a runtime error.
 """
 
 from __future__ import annotations
@@ -29,10 +30,30 @@ class InputError(Exception):
 
 
 def _read(path: str, what: str) -> str:
-    p = Path(path)
-    if not p.exists():
-        raise InputError(f"{what} file not found: {path}")
-    return p.read_text()
+    try:
+        return Path(path).read_text()
+    except FileNotFoundError:
+        raise InputError(f"{what} file not found: {path}") from None
+    except OSError as exc:
+        raise InputError(f"cannot read {what} file {path}: "
+                         f"{exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{what} file {path} is not {exc.encoding} text: "
+                         f"{exc.reason} at byte {exc.start}") from None
+
+
+def _open_out(path: str, what: str):
+    """``path`` opened for writing, or InputError naming it."""
+    try:
+        return open(path, "w")
+    except OSError as exc:
+        raise InputError(f"cannot write {what} to {path}: "
+                         f"{exc.strerror or exc}") from None
+
+
+def _write(path: str, what: str, text: str) -> None:
+    with _open_out(path, what) as out:
+        out.write(text)
 
 
 def _read_data(path: str, what: str, sensors) -> harness.Dataset:
@@ -93,9 +114,9 @@ def cmd_learn(args) -> int:
         raise InputError("training CSV has no data rows")
     disc = detection.fit_discretizer(data, structure.sensors, bins=args.bins)
     net = harness.learn_parameters(structure, disc, data)
-    Path(args.out).write_text(model.save_network(net))
+    _write(args.out, "network", model.save_network(net))
     disc_path = args.discretizer or str(Path(args.out).with_suffix(".disc.json"))
-    Path(disc_path).write_text(detection.discretizer_to_json(disc))
+    _write(disc_path, "discretizer", detection.discretizer_to_json(disc))
     print(f"learned {len(net.variables)} variables from {len(data)} rows "
           f"-> {args.out}, discretizer -> {disc_path}")
     return EXIT_OK
@@ -108,7 +129,7 @@ def cmd_compile_tree(args) -> int:
     start = time.perf_counter()
     tree = anytime.compile_decision_tree(iso, emb=None if args.full else emb)
     seconds = time.perf_counter() - start
-    Path(args.out).write_text(anytime.tree_to_json(tree))
+    _write(args.out, "decision tree", anytime.tree_to_json(tree))
     print(f"{'full' if args.full else 'pruned'} tree: "
           f"{tree.node_count()} nodes, depth {tree.depth()}, "
           f"compiled in {seconds:.3f} s -> {args.out}")
@@ -121,7 +142,7 @@ def cmd_validate(args) -> int:
     tree = _load_tree(args, iso)
     data = _read_data(args.data, "readings", net.names())
     criterion = _criterion(args)
-    out = open(args.out, "w") if args.out else sys.stdout
+    out = _open_out(args.out, "steps") if args.out else sys.stdout
     try:
         for reading in data.rows():
             for record in anytime.run_anytime_validation(
@@ -160,7 +181,7 @@ def cmd_simulate(args) -> int:
         report = harness.evaluate_errors(records)
         report = harness.ErrorReport(tuple(
             e for e in report.entries if e[1] in severities))
-    Path(args.out).write_text(report.to_csv())
+    _write(args.out, "report", report.to_csv())
     for (label, severity, t1c, _t1n, t1r, t2c, _t2n, t2r) in report.entries:
         print(f"{label} {severity}: type I {t1c} ({t1r:.1%}), "
               f"type II {t2c} ({t2r:.1%})")
@@ -184,7 +205,8 @@ def cmd_compare(args) -> int:
     entropy_q, random_q = harness.compare_selection_policies(
         net, disc, iso, data, args.experiments, args.seed,
         criterion=_criterion(args))
-    Path(args.out).write_text(harness.policy_comparison_csv(entropy_q, random_q))
+    _write(args.out, "profile", harness.policy_comparison_csv(entropy_q,
+                                                              random_q))
     mid = len(entropy_q) // 2
     print(f"{args.experiments} experiments: midpoint quality "
           f"entropy {entropy_q[mid]:.3f} vs random {random_q[mid]:.3f} "

@@ -14,7 +14,12 @@ and k * sigma; pvalue the mean and the sorted distinct distances of the
 midpoints from it, each with a verdict slot; tau the verdict of each
 interval. Each kernel memoises one entry per blanket state
 (``model.remember``): the read-only prediction and the rules built on it,
-keyed by criterion and the sensor's bounds. Most blanket states repeat,
+keyed by criterion and the sensor's bounds. One kernel method goes from
+the blanket's interval codes and the reading to a verdict
+(``BlanketKernel.faulty``): ``validate_sensor`` codes the blanket of each
+reading it is given, while the link calibration codes each training row
+and each injected reading once and reuses the codes across the
+validations they feed. Most blanket states repeat,
 so most verdicts are one comparison or one bisection. The pvalue slots
 fill on first need: in a calibration a third of the validations meet a
 new state, where one verdict is needed and filling every slot would cost
@@ -84,11 +89,13 @@ class Discretizer:
         return int(min(max(t, 0.0), self.bins - 1.0))
 
     def _index_array(self, sensor: str, xs: np.ndarray) -> np.ndarray:
-        """``index`` of every reading in ``xs``, for learning from columns."""
+        """``index`` of every reading in ``xs``, for learning from columns,
+        in the smallest unsigned integer type that holds every code."""
         lo, hi = self.bounds[sensor]
         with np.errstate(over="ignore"):     # huge readings clamp below
             t = self.bins * (xs - lo) / (hi - lo)
-        return np.clip(t, 0.0, self.bins - 1.0).astype(np.intp)
+        return np.clip(t, 0.0, self.bins - 1.0).astype(
+            np.min_scalar_type(self.bins - 1))
 
     def midpoints(self, sensor: str) -> np.ndarray:
         """Interval midpoints of the sensor, computed once (read-only)."""
@@ -289,7 +296,7 @@ class BlanketKernel:
         self.weights = weights
         self.memo: dict[tuple, tuple[np.ndarray, dict]] = {}
 
-    def codes(self, d: Discretizer, reading: Mapping[str, float]) -> list[int]:
+    def codes(self, d: Discretizer, reading: Mapping[str, float]) -> tuple:
         """Interval codes of the blanket readings, in ``blanket`` order."""
         codes = []
         for b in self.blanket:
@@ -302,7 +309,7 @@ class BlanketKernel:
                     f"non-finite reading {x!r} of sensor {b!r} "
                     f"(in the Markov blanket of {self.sensor!r})")
             codes.append(d.index(b, x))
-        return codes
+        return tuple(codes)
 
     def probabilities(self, codes: np.ndarray) -> np.ndarray:
         """Normalized P(sensor | blanket codes).
@@ -319,16 +326,13 @@ class BlanketKernel:
                 f"has probability zero")
         return p / z
 
-    def state(self, net: BayesNet, d: Discretizer,
-              reading: Mapping[str, float]) -> tuple[np.ndarray, dict]:
-        """The memo entry of the blanket readings' interval codes: the
-        normalized P(sensor | blanket readings), a function of those codes,
-        and the verdict rules built on it so far, keyed by criterion and
-        the sensor's bounds. The array is read-only, because every caller
-        with those codes gets it."""
-        codes = self.codes(d, reading)
-        key = tuple(codes)
-        entry = self.memo.get(key)
+    def state(self, net: BayesNet, codes: tuple) -> tuple[np.ndarray, dict]:
+        """The memo entry of the blanket's interval ``codes`` (in
+        ``blanket`` order): the normalized P(sensor | blanket), a function
+        of those codes, and the verdict rules built on it so far, keyed by
+        criterion and the sensor's bounds. The array is read-only, because
+        every caller with those codes gets it."""
+        entry = self.memo.get(codes)
         if entry is None:
             if self.general:
                 evidence = dict(zip(self.blanket, map(str, codes)))
@@ -337,13 +341,31 @@ class BlanketKernel:
                 p = self.probabilities(np.array(codes, dtype=np.intp))
             p.setflags(write=False)
             entry = (p, {})
-            remember(self.memo, key, entry)
+            remember(self.memo, codes, entry)
         return entry
 
     def predict(self, net: BayesNet, d: Discretizer,
                 reading: Mapping[str, float]) -> np.ndarray:
         """Normalized P(sensor | blanket readings), memoised (read-only)."""
-        return self.state(net, d, reading)[0]
+        return self.state(net, self.codes(d, reading))[0]
+
+    def faulty(self, net: BayesNet, d: Discretizer, codes: tuple, x: float,
+               criterion: DetectionCriterion) -> bool:
+        """The verdict on the sensor's reading x given the blanket's
+        interval ``codes``: the rule of the codes' memo entry for the
+        criterion, built on first need. ``validate_sensor`` and the link
+        calibration, which codes each reading once, both come here."""
+        # a memo hit, as most validations are, costs no call of ``state``
+        entry = self.memo.get(codes)
+        p, rules = entry if entry is not None else self.state(net, codes)
+        # the criterion's fields, not the criterion: its generated hash would
+        # be one more Python call per validation
+        lo, hi = d.bounds[self.sensor]
+        key = (criterion.kind, criterion.parameter, lo, hi)
+        rule = rules.get(key)
+        if rule is None:
+            rule = rules[key] = criterion.rule(p, d, self.sensor)
+        return rule(x)
 
 
 def blanket_kernel(net: BayesNet, sensor: str, bins: int) -> BlanketKernel:
@@ -378,12 +400,6 @@ def validate_sensor(net: BayesNet, d: Discretizer,
     x = reading[sensor]
     if not math.isfinite(x):
         raise ValueError(f"non-finite reading {x!r} of sensor {sensor!r}")
-    p, rules = blanket_kernel(net, sensor, d.bins).state(net, d, reading)
-    # the criterion's fields, not the criterion: its generated hash would
-    # be one more Python call per validation
-    lo, hi = d.bounds[sensor]
-    key = (criterion.kind, criterion.parameter, lo, hi)
-    rule = rules.get(key)
-    if rule is None:
-        rule = rules[key] = criterion.rule(p, d, sensor)
-    return ApparentStatus(sensor, rule(x))
+    kernel = blanket_kernel(net, sensor, d.bins)
+    return ApparentStatus(
+        sensor, kernel.faulty(net, d, kernel.codes(d, reading), x, criterion))

@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .anytime import DecisionTree, run_anytime_validation
-from .detection import DetectionCriterion, Discretizer
+from .detection import DetectionCriterion, Discretizer, blanket_kernel
 from .isolation import IsolationNet, declare_faults, fault_belief
 from .model import BayesNet, Cpt, NetworkStructure, Variable
 
@@ -160,6 +160,9 @@ def learn_parameters(structure: NetworkStructure, d: Discretizer,
         raise KeyError(f"training data is missing columns {missing}")
     b = d.bins
     variables = [Variable(s, d.states()) for s in structure.sensors]
+    # each column is coded once and read by every family it belongs to
+    codes = {s: d._index_array(s, train.values[:, train.sensors.index(s)])
+             for s in structure.sensors}
     cpts = {}
     for s in structure.sensors:
         parents = structure.parents_of(s)
@@ -168,7 +171,7 @@ def learn_parameters(structure: NetworkStructure, d: Discretizer,
         family = np.zeros(len(train), dtype=np.intp)
         for v in parents + (s,):
             family *= b
-            family += d._index_array(v, train.values[:, train.sensors.index(v)])
+            family += codes[v]
         counts = np.bincount(family, minlength=b ** (len(parents) + 1)) + 1.0
         counts = counts.reshape(-1, b)
         cpts[s] = Cpt(s, parents, counts / counts.sum(axis=1, keepdims=True))
@@ -182,7 +185,11 @@ def split_dataset(data: Dataset, ratio: float, seed: int) -> tuple[Dataset, Data
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(data))
     cut = int(np.floor(ratio * len(data)))
-    return (Dataset(data.sensors, data.values[order[:cut]]),
+    # learning reads the training rows by column: gathered along the
+    # columns of the transpose, a column-major table (as generated) gives
+    # a column-major training part; validation reads the test rows whole
+    train = data.values.T.take(order[:cut], axis=1).T
+    return (Dataset(data.sensors, train),
             Dataset(data.sensors, data.values[order[cut:]]))
 
 
@@ -284,25 +291,35 @@ def calibrate_link_strengths(
     the detector, Laplace-smoothed. Feeds build_isolation_network's
     link_overrides when the ideal all-links-near-one assumption does not
     hold for the data at hand.
-    """
-    from .detection import validate_sensor
 
+    Each row is coded into intervals once and each injected reading once;
+    every validation then goes from the blanket codes to a verdict
+    (``BlanketKernel.faulty``), as ``validate_sensor`` does.
+    """
     if len(train) == 0:
         raise ValueError("empty calibration set")
     rng = np.random.default_rng(seed)
     idx = rng.choice(len(train), size=min(n_rows, len(train)), replace=False)
-    hits: dict[tuple[str, str], float] = {}
-    trials: dict[tuple[str, str], float] = {}
+    plan = [(cause, FaultSpec(cause, SEVERE),
+             [(effect, blanket_kernel(net, effect, d.bins))
+              for effect in sorted(emb[cause])])
+            for cause in sorted(emb)]
+    # every link is tried once per row
+    hits = {(cause, effect): 0.0 for cause, _, effects in plan
+            for effect, _ in effects}
     for i in sorted(int(k) for k in idx):
         reading = train.row(i)
-        for cause in sorted(emb):
-            faulted = inject_fault(reading, FaultSpec(cause, SEVERE), d)
-            for effect in sorted(emb[cause]):
-                status = validate_sensor(net, d, faulted, effect, criterion)
-                key = (cause, effect)
-                hits[key] = hits.get(key, 0.0) + status.faulty
-                trials[key] = trials.get(key, 0.0) + 1.0
-    return {k: min((hits[k] + 1.0) / (trials[k] + 2.0), LINK_CEILING) for k in hits}
+        clean = {s: d.index(s, x) for s, x in reading.items() if s in d.bounds}
+        for cause, spec, effects in plan:
+            x = inject_fault(reading, spec, d)[cause]
+            codes = {**clean, cause: d.index(cause, x)}
+            for effect, kernel in effects:
+                hits[cause, effect] += kernel.faulty(
+                    net, d, tuple([codes[b] for b in kernel.blanket]),
+                    x if effect == cause else reading[effect], criterion)
+    trials = float(len(idx))
+    return {k: min((h + 1.0) / (trials + 2.0), LINK_CEILING)
+            for k, h in hits.items()}
 
 
 # --- experiments ------------------------------------------------------------

@@ -48,19 +48,21 @@ class IsolationNet:
 
     ``log_q[i, j]`` is log(1 - c_ij) for a link i -> j and 0 where there is
     none; ``log_odds[i]`` is log(prior / (1 - prior)); ``parents[j]`` lists
-    the causes of apparent fault j, and ``child_mask[i]`` the apparent
-    faults root i causes. ``index`` maps each sensor to its position i and
-    ``bit`` to 1 << i; sets of sensors are int bitmasks with bit i for
-    ``sensors[i]``. ``select_memo`` belongs to
-    ``anytime.select_next_sensor``, which memoises its choices there, and
-    ``branch_memo`` to ``branch_posteriors``' faulty-branch solves; both
-    store through ``model.remember``, which caps each at ``model.MEMO_CAP``
-    entries.
+    the causes of apparent fault j, ``child_mask[i]`` the apparent faults
+    root i causes and ``linked_mask[j]`` those any cause of j causes.
+    ``index`` maps each sensor to its position i and ``bit`` to 1 << i;
+    sets of sensors are int bitmasks with bit i for ``sensors[i]``.
+    ``select_memo`` belongs to ``anytime.select_next_sensor`` alone, which
+    memoises its choices there; ``anytime.compile_decision_tree`` meets
+    each state once and neither reads nor fills it. ``branch_memo`` holds
+    the faulty-branch solves of ``branch_posteriors`` and of compiling.
+    Both store through ``model.remember``, which caps each at
+    ``model.MEMO_CAP`` entries.
     """
 
     __slots__ = ("sensors", "parents_of", "params", "priors", "index", "bit",
                  "prior", "log_odds", "log_q", "parents", "parent_mask",
-                 "child_mask", "select_memo", "branch_memo")
+                 "child_mask", "linked_mask", "select_memo", "branch_memo")
 
     def __init__(self, sensors: tuple[str, ...], parents_of: dict,
                  params: NoisyOrParams, priors: dict):
@@ -86,6 +88,10 @@ class IsolationNet:
                 self.child_mask[i] |= 1 << index[j]
             self.parents.append(causes)
             self.parent_mask.append(sum(1 << i for i in causes))
+        self.linked_mask = [0] * len(index)
+        for j, causes in enumerate(self.parents):
+            for i in causes:
+                self.linked_mask[j] |= self.child_mask[i]
         self.select_memo = {}
         self.branch_memo = {}
 
@@ -203,6 +209,7 @@ def noisy_or_root_posteriors(net: IsolationNet, faulty: int,
     ``ENUMERATION_LIMIT`` assignments. 1 - prod q is taken as
     -expm1(sum log q) so weak links keep their precision.
     """
+    # ``_evidence`` written out: this is the belief update of every step
     active_log = net.log_q[:, _indices(correct)].sum(axis=1)
     return _posteriors(net, active_log, _components(net, faulty))
 
@@ -217,51 +224,58 @@ def branch_posteriors(net: IsolationNet, faulty: int, correct: int,
     roots' active log-weights, so all correct branches are enumerated as
     one batch over the state's components; a faulty finding changes only
     the component that c's parents merge into, so only that component is
-    solved again (``_faulty_branch``) and every other root keeps the
-    state's posterior.
+    solved again and every other root keeps the state's posterior
+    (``_branches``).
     """
     for c in candidates:
         if (faulty | correct) >> c & 1:
             raise ValueError(f"{net.sensors[c]!r} already has a finding")
-    active_log = net.log_q[:, _indices(correct)].sum(axis=1)
-    components = _components(net, faulty)
+    active_log, components = _evidence(net, faulty, correct)
+    return _branches(net, correct, candidates, active_log, components,
+                     _posteriors(net, active_log, components))
+
+
+def _evidence(net: IsolationNet, faulty: int, correct: int) -> tuple:
+    """What every solve of these findings reads: the roots' active
+    log-weights from the correct findings, and the components the faulty
+    ones couple (``_components``)."""
+    return (net.log_q[:, _indices(correct)].sum(axis=1),
+            _components(net, faulty))
+
+
+def _branches(net: IsolationNet, correct: int, candidates: list[int],
+              active_log: np.ndarray, components: list,
+              state: np.ndarray) -> np.ndarray:
+    """``branch_posteriors`` from the findings' ``_evidence`` and their own
+    root posteriors ``state``, which a compile has from the parent node.
+
+    A faulty branch solves the roots its component joins given the faulty
+    effects in order and the correct findings on the apparent faults those
+    roots cause (the mask ``linked``), so it is memoised on ``net`` under
+    exactly that key, and a hit is one dict lookup and one row write.
+    Components solved by variable elimination are not memoised.
+    """
     out = np.empty((2, len(candidates), len(net.prior)))
     batch = active_log[:, None] + net.log_q[:, candidates]
     out[0] = _posteriors(net, batch, components).T
-    out[1] = _posteriors(net, active_log, components)
+    out[1] = state
+    memo = net.branch_memo
     for i, c in enumerate(candidates):
-        roots, effects, _ = _merge(components, net.parent_mask[c], [c])
-        members, post = _faulty_branch(net, roots, effects, correct)
-        out[1, i, members] = post
+        (roots, effects, linked), _ = _merge(net, components, c)
+        key = (roots, effects, correct & linked)
+        enumerated = 2 ** roots.bit_count() <= ENUMERATION_LIMIT
+        solved = memo.get(key) if enumerated else None
+        if solved is None:
+            members = _indices(roots)
+            sums = net.log_q[members][:, _indices(key[2])].sum(axis=1)
+            solved = (np.array(members),
+                      _component(net, members, effects,
+                                 net.log_odds[members] + sums,
+                                 net.prior[members] * np.exp(sums)))
+            if enumerated:
+                remember(memo, key, solved)
+        out[1, i][solved[0]] = solved[1]
     return out
-
-
-def _faulty_branch(net: IsolationNet, roots: int, effects: list,
-                   correct: int) -> tuple[list[int], np.ndarray]:
-    """The indices of the roots in ``roots`` and their posteriors given the
-    faulty ``effects`` they cause and the correct findings.
-
-    The posteriors read only the roots, the effects in order and the
-    correct findings on the apparent faults those roots cause, so the
-    active log-weights are summed over exactly those columns and the
-    result is memoised on ``net`` under exactly that key. Components
-    solved by variable elimination are not memoised.
-    """
-    members = _indices(roots)
-    linked = 0
-    for i in members:
-        linked |= net.child_mask[i]
-    key = (roots, tuple(effects), correct & linked)
-    enumerated = 2 ** len(members) <= ENUMERATION_LIMIT
-    post = net.branch_memo.get(key) if enumerated else None
-    if post is None:
-        active_log = net.log_q[members][:, _indices(key[2])].sum(axis=1)
-        post = _component(net, members, effects,
-                          net.log_odds[members] + active_log,
-                          net.prior[members] * np.exp(active_log))
-        if enumerated:
-            remember(net.branch_memo, key, post)
-    return members, post
 
 
 def candidate_scores(net: IsolationNet, faulty: int, correct: int,
@@ -269,34 +283,40 @@ def candidate_scores(net: IsolationNet, faulty: int, correct: int,
     """Conditional average entropy of each candidate: the mean binary
     entropy of the root posteriors after a correct finding plus that after
     a faulty one. Smaller means the validation is more informative."""
-    p = branch_posteriors(net, faulty, correct, candidates)
+    return branch_scores(branch_posteriors(net, faulty, correct, candidates))
+
+
+def branch_scores(p: np.ndarray) -> np.ndarray:
+    """The candidate scores of ``branch_posteriors`` rows ``p``."""
     q = 1.0 - p
     with np.errstate(divide="ignore", invalid="ignore"):
         h = -(p * np.log2(p) + q * np.log2(q))
-    h[(p == 0.0) | (p == 1.0)] = 0.0
-    return h.mean(axis=2).sum(axis=0)
+    h[np.isnan(h)] = 0.0                # 0 * log 0 where p is 0 or 1
+    return (h.sum(axis=2) / p.shape[2]).sum(axis=0)
 
 
-def _merge(components: list, roots: int, effects: list) -> tuple:
-    """Join the component (roots, effects) with every component sharing a
-    root; returns the joined roots and effects (``effects`` extended in
-    place) and the untouched rest."""
+def _merge(net: IsolationNet, components: list, j: int) -> tuple:
+    """The component a faulty finding on j forms, joined with every
+    component sharing a root with it, and the untouched rest."""
+    roots, effects, linked = net.parent_mask[j], (j,), net.linked_mask[j]
     rest = []
     for comp in components:
         if comp[0] & roots:
             roots |= comp[0]
             effects += comp[1]
+            linked |= comp[2]
         else:
             rest.append(comp)
-    return roots, effects, rest
+    return (roots, effects, linked), rest
 
 
 def _components(net: IsolationNet, faulty: int) -> list:
-    """The (root mask, faulty effects) components coupled by faulty findings."""
+    """The components coupled by faulty findings: (root mask, faulty
+    effects in order, mask of the apparent faults the roots cause)."""
     components = []
     for j in _indices(faulty):
-        roots, effects, rest = _merge(components, net.parent_mask[j], [j])
-        components = rest + [(roots, effects)]
+        joined, rest = _merge(net, components, j)
+        components = rest + [joined]
     return components
 
 
@@ -309,7 +329,7 @@ def _posteriors(net, active_log, components) -> np.ndarray:
     w1 = prior * np.exp(active_log)
     post = w1 / (w1 + (1.0 - prior))
     unary = log_odds + active_log
-    for roots, effects in components:
+    for roots, effects, _ in components:
         members = _indices(roots)
         post[members] = _component(net, members, effects, unary[members],
                                    w1[members])

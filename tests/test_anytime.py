@@ -367,6 +367,74 @@ class TestPruning:
             assert pruned.node_count() <= n * (n + 1), dict(emb)
 
 
+def nodes_with_findings(tree):
+    """Every node of the tree with the findings on the path to it."""
+    stack = [(tree.root, {})]
+    while stack:
+        node, findings = stack.pop()
+        if node is not None:
+            yield node, findings
+            stack.append((node.ok, {**findings, node.sensor: CORRECT}))
+            stack.append((node.faulty, {**findings, node.sensor: FAULTY}))
+
+
+def consistent_by_sets(findings, emb):
+    """The single-fault rule written on sets, as an oracle."""
+    faulty = {s for s, st in findings.items() if st == FAULTY}
+    correct = {s for s, st in findings.items() if st == CORRECT}
+    return not faulty or any(faulty <= blanket and not correct & blanket
+                             for blanket in emb.values())
+
+
+class TestCompileEqualsSelection:
+    """Compile scores each node once, from the root posteriors its parent's
+    scoring solved; every node must still hold what ``select_next_sensor``
+    picks on a network with empty memos given that node's findings."""
+
+    @staticmethod
+    def assert_each_node_selects(tree, build):
+        sensors = set(build().sensors)
+        for node, findings in nodes_with_findings(tree):
+            cold = build()
+            assert node.sensor == sv.select_next_sensor(
+                cold, findings, sensors - findings.keys()), findings
+
+    def test_tree21_pruned_tree(self, tree21):
+        tree = sv.compile_decision_tree(tree21.iso, tree21.emb)
+        assert tree.node_count() == 249
+        self.assert_each_node_selects(tree, lambda: sv.build_isolation_network(
+            tree21.emb, link_overrides=tree21.iso.params.strengths))
+
+    def test_reference_full_tree(self, ref_iso):
+        tree = sv.compile_decision_tree(ref_iso)
+        assert tree.node_count() == 31
+        self.assert_each_node_selects(
+            tree, lambda: sv.build_isolation_network(sv.EmbTable(REFERENCE_EMB)))
+
+    def test_sensors_out_of_name_order(self, ref_iso, tree21):
+        # candidates stay in name order, so ties break the same way
+        for iso, emb in ((ref_iso, None), (ref_iso, sv.EmbTable(REFERENCE_EMB)),
+                         (tree21.iso, tree21.emb)):
+            reversed_iso = sv.IsolationNet(tuple(reversed(iso.sensors)),
+                                           iso.parents_of, iso.params,
+                                           iso.priors)
+            assert sv.tree_to_json(sv.compile_decision_tree(reversed_iso, emb)) \
+                == sv.tree_to_json(sv.compile_decision_tree(iso, emb))
+
+    def test_emb_row_for_a_sensor_the_network_lacks(self, ref_iso):
+        alone = sv.EmbTable({**REFERENCE_EMB, "zz": {"zz"}})
+        assert sv.tree_to_json(sv.compile_decision_tree(ref_iso, alone)) == (
+            FIXTURES / "reference_pruned.tree.json").read_text()
+        # zz's row explains a fault in t alone even beside a correct m
+        linked = sv.EmbTable({**REFERENCE_EMB, "t": REFERENCE_EMB["t"] | {"zz"},
+                              "zz": {"zz", "t"}})
+        pruned = sv.compile_decision_tree(ref_iso, linked)
+        assert pruned.node_count() == 20
+        full = nodes_with_findings(sv.compile_decision_tree(ref_iso))
+        assert [(n.sensor, f) for n, f in nodes_with_findings(pruned)] == [
+            (n.sensor, f) for n, f in full if consistent_by_sets(f, linked)]
+
+
 class TestGoldenTrees:
     """Compiled trees stay byte-identical to the committed fixtures."""
 

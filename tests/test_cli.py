@@ -526,6 +526,32 @@ def test_bad_csv_row_is_an_input_error(tmp_path, capsys, command, row,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("case", [
+    "network is a directory", "network is not utf-8",
+    "compile-tree", "validate", "simulate", "compare", "learn"])
+def test_unreadable_input_or_unwritable_output_is_an_input_error(
+        tmp_path, capsys, train_csv, case):
+    network, out = NET, tmp_path / "out.txt"
+    if case == "network is a directory":
+        network, command = str(tmp_path), "compile-tree"
+    elif case == "network is not utf-8":
+        network, command = str(tmp_path / "net.json"), "compile-tree"
+        Path(network).write_bytes(b'{"variables": "\xff"}')
+    else:
+        command, out = case, tmp_path / "missing" / "out.txt"
+    if command == "compile-tree":
+        argv = ["--network", network]
+    elif command == "learn":
+        argv = ["--structure", STRUCTURE, "--data", train_csv]
+    else:
+        argv = ["--network", network, "--discretizer", DISC,
+                "--data", READINGS]
+    rc = main([command, *argv, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2 and "runtime error" not in err
+    assert (network if out.parent.exists() else str(out)) in err
+
+
 class TestOutputDigests:
     """SHA-256 pins of whole outputs on the fixture readings: a change that
     moves one sensor order, one belief or one report count shows here.

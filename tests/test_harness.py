@@ -123,6 +123,48 @@ class TestSplitDataset:
             sv.split_dataset(self.make(10), 1.0, seed=0)
 
 
+class TestDataBuild:
+    """The split gathers columns and learning codes each column once; both
+    must give what a row gather and per-family coding give."""
+
+    @staticmethod
+    def tree21_data(n_rows):
+        return sv.generate_synthetic_dataset(
+            sv.random_tree_structure(21, seed=21), n_rows, 0.05, seed=7)
+
+    @pytest.mark.parametrize("layout", ["F", "C"])
+    def test_split_equals_the_row_gather(self, layout):
+        generated = self.tree21_data(500)
+        data = Dataset(generated.sensors,
+                       np.asarray(generated.values, order=layout))
+        train, test = sv.split_dataset(data, 0.7, seed=3)
+        order = np.random.default_rng(3).permutation(len(data))
+        cut = int(np.floor(0.7 * len(data)))
+        for part, rows in ((train, order[:cut]), (test, order[cut:])):
+            assert np.array_equal(part.values, data.values[rows])
+            assert [part.row(i) for i in range(len(part))] == [
+                dict(zip(data.sensors, data.values[k].tolist())) for k in rows]
+
+    @pytest.mark.parametrize("structure", [
+        sv.reference_structure(), sv.random_tree_structure(21, seed=21)])
+    def test_learned_tables_equal_per_family_coding(self, structure):
+        data = sv.generate_synthetic_dataset(structure, 3000, 0.05, seed=7)
+        train, _ = sv.split_dataset(data, 0.7, seed=1)
+        d = sv.fit_discretizer(train, structure.sensors, bins=10)
+        net = sv.learn_parameters(structure, d, train)
+        for s in structure.sensors:
+            parents = structure.parents_of(s)
+            family = np.zeros(len(train), dtype=np.intp)
+            for v in parents + (s,):
+                column = train.values[:, train.sensors.index(v)]
+                family = family * 10 + np.array(
+                    [d.index(v, x) for x in column.tolist()])
+            counts = np.bincount(family, minlength=10 ** (len(parents) + 1))
+            counts = counts.reshape(-1, 10) + 1.0
+            assert np.array_equal(
+                net.cpts[s].table, counts / counts.sum(axis=1, keepdims=True))
+
+
 class TestGenerate:
     def test_noise_free_children_are_linear(self):
         struct = sv.NetworkStructure("s", ("r", "c1", "c2"),
@@ -271,6 +313,73 @@ class TestCalibration:
         b = sv.harness.calibrate_link_strengths(
             ref.net, ref.discretizer, ref.emb, ref.train, crit, **kwargs)
         assert a == b
+
+
+def calibrate_by_validation(net, d, emb, train, criterion, n_rows=40,
+                            seed=0):
+    """Link calibration as one ``validate_sensor`` call per injected
+    reading and effect: the oracle of the coded route."""
+    rng = np.random.default_rng(seed)
+    idx = rng.choice(len(train), size=min(n_rows, len(train)), replace=False)
+    hits, trials = {}, {}
+    for i in sorted(int(k) for k in idx):
+        reading = train.row(i)
+        for cause in sorted(emb):
+            faulted = sv.inject_fault(reading, sv.FaultSpec(cause, "severe"), d)
+            for effect in sorted(emb[cause]):
+                key = (cause, effect)
+                status = sv.validate_sensor(net, d, faulted, effect, criterion)
+                hits[key] = hits.get(key, 0.0) + status.faulty
+                trials[key] = trials.get(key, 0.0) + 1.0
+    return {k: min((hits[k] + 1.0) / (trials[k] + 2.0),
+                   sv.harness.LINK_CEILING) for k in hits}
+
+
+class TestCalibrationThroughCodes:
+    """Calibration codes each row and each injected reading once; its links
+    must equal those of validating every injected reading."""
+
+    CRITERIA = (sv.DetectionCriterion("pvalue", 0.01),
+                sv.DetectionCriterion("sigma", 1.0),
+                sv.DetectionCriterion("tau", 0.2))
+
+    def test_tree21_training_split(self, tree21):
+        def fresh():
+            return sv.learn_parameters(tree21.structure, tree21.discretizer,
+                                       tree21.train)
+
+        for criterion in self.CRITERIA:
+            links = sv.harness.calibrate_link_strengths(
+                fresh(), tree21.discretizer, tree21.emb, tree21.train,
+                criterion)
+            assert links == calibrate_by_validation(
+                fresh(), tree21.discretizer, tree21.emb, tree21.train,
+                criterion)
+
+    def test_general_route(self):
+        # a -> b -> c with a zero in c's CPT: c lies outside a's family, so
+        # a's predictions take posterior_marginal
+        rng = np.random.default_rng(2)
+        labels = ("0", "1", "2")
+        tables = [rng.uniform(0.05, 1.0, (rows, 3)) for rows in (1, 3, 3)]
+        tables[2][0, 0] = 0.0
+        cpts = {v: sv.Cpt(v, parents, t / t.sum(axis=1, keepdims=True))
+                for v, parents, t in zip("abc", ((), ("a",), ("b",)), tables)}
+
+        def fresh():
+            return sv.BayesNet([sv.Variable(v, labels) for v in "abc"],
+                               [("a", "b"), ("b", "c")], cpts)
+
+        d = Discretizer(3, {v: (0.0, 3.0) for v in "abc"})
+        train = Dataset(tuple("abc"), rng.uniform(0.0, 3.0, (30, 3)))
+        emb = sv.emb_table(fresh())
+        for criterion in self.CRITERIA:
+            net = fresh()
+            links = sv.harness.calibrate_link_strengths(
+                net, d, emb, train, criterion, n_rows=20)
+            assert net.blanket_kernels["a"].general
+            assert links == calibrate_by_validation(
+                fresh(), d, emb, train, criterion, n_rows=20)
 
 
 @pytest.fixture(scope="module")
