@@ -35,7 +35,7 @@ def average_entropy(pf: Mapping[str, float]) -> float:
     """Mean binary entropy of the fault-probability vector."""
     if not pf:
         raise ValueError("empty fault-probability vector")
-    return sum(binary_entropy(p) for p in pf.values()) / len(pf)
+    return sum(map(binary_entropy, pf.values())) / len(pf)
 
 
 def conditional_average_entropy(iso: IsolationNet,

@@ -7,7 +7,8 @@ where it enters: a bad file, CSV, option value or decision tree, an input
 file that cannot be read as text or an output path that cannot be written
 raises InputError (or the NetworkError and DiscretizerError of the
 loaders), and any other exception, a KeyError or ValueError included, is
-a runtime error.
+a runtime error. Every command opens its outputs once its inputs are
+checked and before it does its work, so an unwritable path costs no work.
 """
 
 from __future__ import annotations
@@ -49,11 +50,6 @@ def _open_out(path: str, what: str):
     except OSError as exc:
         raise InputError(f"cannot write {what} to {path}: "
                          f"{exc.strerror or exc}") from None
-
-
-def _write(path: str, what: str, text: str) -> None:
-    with _open_out(path, what) as out:
-        out.write(text)
 
 
 def _read_data(path: str, what: str, sensors) -> harness.Dataset:
@@ -112,11 +108,14 @@ def cmd_learn(args) -> int:
     data = _read_data(args.data, "training data", structure.sensors)
     if len(data) == 0:
         raise InputError("training CSV has no data rows")
-    disc = detection.fit_discretizer(data, structure.sensors, bins=args.bins)
-    net = harness.learn_parameters(structure, disc, data)
-    _write(args.out, "network", model.save_network(net))
     disc_path = args.discretizer or str(Path(args.out).with_suffix(".disc.json"))
-    _write(disc_path, "discretizer", detection.discretizer_to_json(disc))
+    with _open_out(args.out, "network") as net_out, \
+            _open_out(disc_path, "discretizer") as disc_out:
+        disc = detection.fit_discretizer(data, structure.sensors,
+                                         bins=args.bins)
+        net = harness.learn_parameters(structure, disc, data)
+        net_out.write(model.save_network(net))
+        disc_out.write(detection.discretizer_to_json(disc))
     print(f"learned {len(net.variables)} variables from {len(data)} rows "
           f"-> {args.out}, discretizer -> {disc_path}")
     return EXIT_OK
@@ -126,10 +125,12 @@ def cmd_compile_tree(args) -> int:
     net = model.load_network(_read(args.network, "network"))
     emb = model.emb_table(net)
     iso = _build_isolation(net, args)
-    start = time.perf_counter()
-    tree = anytime.compile_decision_tree(iso, emb=None if args.full else emb)
-    seconds = time.perf_counter() - start
-    _write(args.out, "decision tree", anytime.tree_to_json(tree))
+    with _open_out(args.out, "decision tree") as out:
+        start = time.perf_counter()
+        tree = anytime.compile_decision_tree(iso,
+                                             emb=None if args.full else emb)
+        seconds = time.perf_counter() - start
+        out.write(anytime.tree_to_json(tree))
     print(f"{'full' if args.full else 'pruned'} tree: "
           f"{tree.node_count()} nodes, depth {tree.depth()}, "
           f"compiled in {seconds:.3f} s -> {args.out}")
@@ -167,21 +168,22 @@ def cmd_simulate(args) -> int:
     severities = (args.severity,) if args.severity else (harness.SEVERE,
                                                          harness.MILD)
     records = []
-    if len(data) == 0:
-        report = harness.ErrorReport(tuple(
-            (harness.criterion_label(criterion), sev, 0, 0, 0.0, 0, 0, 0.0)
-            for sev in severities))
-    else:
-        start = time.perf_counter()
-        records = harness.run_fault_experiments(
-            net, disc, iso, tree, data, [criterion],
-            declare_threshold=args.declare, seed=args.seed,
-            severities=severities)
-        seconds = time.perf_counter() - start
-        report = harness.evaluate_errors(records)
-        report = harness.ErrorReport(tuple(
-            e for e in report.entries if e[1] in severities))
-    _write(args.out, "report", report.to_csv())
+    with _open_out(args.out, "report") as out:
+        if len(data) == 0:
+            report = harness.ErrorReport(tuple(
+                (harness.criterion_label(criterion), sev, 0, 0, 0.0, 0, 0, 0.0)
+                for sev in severities))
+        else:
+            start = time.perf_counter()
+            records = harness.run_fault_experiments(
+                net, disc, iso, tree, data, [criterion],
+                declare_threshold=args.declare, seed=args.seed,
+                severities=severities)
+            seconds = time.perf_counter() - start
+            report = harness.evaluate_errors(records)
+            report = harness.ErrorReport(tuple(
+                e for e in report.entries if e[1] in severities))
+        out.write(report.to_csv())
     for (label, severity, t1c, _t1n, t1r, t2c, _t2n, t2r) in report.entries:
         print(f"{label} {severity}: type I {t1c} ({t1r:.1%}), "
               f"type II {t2c} ({t2r:.1%})")
@@ -202,11 +204,12 @@ def cmd_compare(args) -> int:
     data = _read_data(args.data, "test data", net.names())
     if len(data) == 0:
         raise InputError("test CSV has no data rows")
-    entropy_q, random_q = harness.compare_selection_policies(
-        net, disc, iso, data, args.experiments, args.seed,
-        criterion=_criterion(args))
-    _write(args.out, "profile", harness.policy_comparison_csv(entropy_q,
-                                                              random_q))
+    criterion = _criterion(args)
+    with _open_out(args.out, "profile") as out:
+        entropy_q, random_q = harness.compare_selection_policies(
+            net, disc, iso, data, args.experiments, args.seed,
+            criterion=criterion)
+        out.write(harness.policy_comparison_csv(entropy_q, random_q))
     mid = len(entropy_q) // 2
     print(f"{args.experiments} experiments: midpoint quality "
           f"entropy {entropy_q[mid]:.3f} vs random {random_q[mid]:.3f} "

@@ -5,12 +5,15 @@ faulty/correct) for every j in EMB(i); leaf conditionals are noisy-OR.
 Validation outcomes enter as hard evidence on the leaves and the root
 posteriors form the fault-probability vector refined step by step.
 
-Each network builds, once, the arrays that the exact solver reads;
-findings are passed to it as bitmasks over the sensors.
+Each network builds, once, the arrays that the exact solver reads, and
+memoises on itself what depends on the network alone: the noisy-OR
+likelihood table of each coupled component it enumerates. Findings are
+passed to the solver as bitmasks over the sensors.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Iterable, Mapping
 
@@ -27,6 +30,8 @@ DEFAULT_LINK_STRENGTH = 0.99
 DEFAULT_PRIOR = 0.5
 # Components with more root assignments take variable elimination (tests patch it).
 ENUMERATION_LIMIT = 2 ** 16
+# Likelihood tables with more rows are not memoised (tests patch it).
+LIKELIHOOD_MEMO_ROWS = 2 ** 10
 
 
 def root_name(sensor: str) -> str:
@@ -47,7 +52,8 @@ class IsolationNet:
     afterwards; build a new network instead.
 
     ``log_q[i, j]`` is log(1 - c_ij) for a link i -> j and 0 where there is
-    none; ``log_odds[i]`` is log(prior / (1 - prior)); ``parents[j]`` lists
+    none; ``ok_prior[i]`` is 1 - prior and ``log_odds[i]`` is
+    log(prior / (1 - prior)); ``parents[j]`` lists
     the causes of apparent fault j, ``child_mask[i]`` the apparent faults
     root i causes and ``linked_mask[j]`` those any cause of j causes.
     ``index`` maps each sensor to its position i and ``bit`` to 1 << i;
@@ -56,13 +62,16 @@ class IsolationNet:
     memoises its choices there; ``anytime.compile_decision_tree`` meets
     each state once and neither reads nor fills it. ``branch_memo`` holds
     the faulty-branch solves of ``branch_posteriors`` and of compiling.
-    Both store through ``model.remember``, which caps each at
-    ``model.MEMO_CAP`` entries.
+    ``likelihood_memo`` holds each coupled component's noisy-OR likelihood
+    table, keyed by its root mask and faulty effects in order; every
+    enumerated solve reads it (``_component``). All three store through
+    ``model.remember``, which caps each at ``model.MEMO_CAP`` entries.
     """
 
     __slots__ = ("sensors", "parents_of", "params", "priors", "index", "bit",
-                 "prior", "log_odds", "log_q", "parents", "parent_mask",
-                 "child_mask", "linked_mask", "select_memo", "branch_memo")
+                 "prior", "ok_prior", "log_odds", "log_q", "parents",
+                 "parent_mask", "child_mask", "linked_mask", "select_memo",
+                 "branch_memo", "likelihood_memo")
 
     def __init__(self, sensors: tuple[str, ...], parents_of: dict,
                  params: NoisyOrParams, priors: dict):
@@ -73,6 +82,7 @@ class IsolationNet:
         self.index = index = {s: i for i, s in enumerate(sensors)}
         self.bit = {s: 1 << i for s, i in index.items()}
         self.prior = np.array([priors[s] for s in sensors])
+        self.ok_prior = 1.0 - self.prior
         self.log_odds = np.log(self.prior) - np.log1p(-self.prior)
         self.log_q = np.zeros((len(index), len(index)))
         self.parents = []
@@ -94,6 +104,7 @@ class IsolationNet:
                 self.linked_mask[j] |= self.child_mask[i]
         self.select_memo = {}
         self.branch_memo = {}
+        self.likelihood_memo = {}
 
     def indices(self, sensors: Iterable[str]) -> list[int]:
         try:
@@ -190,12 +201,13 @@ def _indices(mask: int) -> list[int]:
     return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
+@functools.cache
 def _bit_table(k: int) -> np.ndarray:
-    """All 2**k assignments of k binary roots; row r holds the bits of r."""
-    return ((np.arange(2 ** k)[:, None] >> np.arange(k)) & 1).astype(float)
-
-
-_BIT_TABLES = [_bit_table(k) for k in range(11)]
+    """All 2**k assignments of k binary roots; row r holds the bits of r.
+    Built once per k, on first use, and read-only."""
+    table = ((np.arange(2 ** k)[:, None] >> np.arange(k)) & 1).astype(float)
+    table.flags.writeable = False
+    return table
 
 
 def noisy_or_root_posteriors(net: IsolationNet, faulty: int,
@@ -269,7 +281,7 @@ def _branches(net: IsolationNet, correct: int, candidates: list[int],
             members = _indices(roots)
             sums = net.log_q[members][:, _indices(key[2])].sum(axis=1)
             solved = (np.array(members),
-                      _component(net, members, effects,
+                      _component(net, roots, members, effects,
                                  net.log_odds[members] + sums,
                                  net.prior[members] * np.exp(sums)))
             if enumerated:
@@ -323,24 +335,30 @@ def _components(net: IsolationNet, faulty: int) -> list:
 def _posteriors(net, active_log, components) -> np.ndarray:
     """Root posteriors given the active log-weights of the correct findings:
     a vector over roots, or a matrix with one column per batch entry."""
-    prior, log_odds = net.prior, net.log_odds
+    prior, ok_prior, log_odds = net.prior, net.ok_prior, net.log_odds
     if active_log.ndim == 2:
-        prior, log_odds = prior[:, None], log_odds[:, None]
+        prior, ok_prior = prior[:, None], ok_prior[:, None]
+        log_odds = log_odds[:, None]
     w1 = prior * np.exp(active_log)
-    post = w1 / (w1 + (1.0 - prior))
+    post = w1 / (w1 + ok_prior)
     unary = log_odds + active_log
     for roots, effects, _ in components:
         members = _indices(roots)
-        post[members] = _component(net, members, effects, unary[members],
-                                   w1[members])
+        post[members] = _component(net, roots, members, effects,
+                                   unary[members], w1[members])
     return post
 
 
-def _component(net, members, effects, unary, w1):
-    """Exact posteriors of one coupled component's roots, from their
-    log-odds ``unary`` and active weights ``w1`` given the correct findings
-    (one row per member): vectors, or matrices with one column per batch
-    entry."""
+def _component(net, roots, members, effects, unary, w1):
+    """Exact posteriors of one coupled component's roots ``members`` (the
+    mask ``roots``), from their log-odds ``unary`` and active weights ``w1``
+    given the correct findings (one row per member): vectors, or matrices
+    with one column per batch entry.
+
+    The likelihood of the faulty effects under each root assignment
+    depends on the network alone, so it is memoised on ``net`` under
+    (``roots``, ``effects``) while it has at most ``LIKELIHOOD_MEMO_ROWS``
+    rows."""
     k = len(members)
     if 2 ** k > ENUMERATION_LIMIT:
         if w1.ndim == 1:
@@ -348,9 +366,15 @@ def _component(net, members, effects, unary, w1):
         return np.column_stack([
             _component_marginals_ve(net, members, effects, column)
             for column in w1.T])
-    bits = _BIT_TABLES[k] if k < len(_BIT_TABLES) else _bit_table(k)
+    bits = _bit_table(k)
     logw = bits @ unary
-    likelihood = (-np.expm1(bits @ net.log_q[members][:, effects])).prod(axis=1)
+    key = (roots, effects)
+    likelihood = net.likelihood_memo.get(key)
+    if likelihood is None:
+        likelihood = (-np.expm1(bits @ net.log_q[members][:, effects])
+                      ).prod(axis=1)
+        if len(likelihood) <= LIKELIHOOD_MEMO_ROWS:
+            remember(net.likelihood_memo, key, likelihood)
     # a single solve, the belief update of every cycle step, stays in
     # vector form: the axis arguments cost it about 1 us per component
     if logw.ndim == 1:
@@ -370,7 +394,7 @@ def _component(net, members, effects, unary, w1):
 def _component_marginals_ve(net, members, effects, w1) -> np.ndarray:
     """Exact per-root marginals of one coupled component by variable
     elimination over binary root variables."""
-    factors = [((i,), np.array([1.0 - net.prior[i], w]))
+    factors = [((i,), np.array([net.ok_prior[i], w]))
                for i, w in zip(members, w1)]
     for j in effects:
         causes = net.parents[j]

@@ -25,8 +25,8 @@ MEMO_CAP = 1 << 10
 def remember(memo: dict, key, value) -> None:
     """Store ``value`` in ``memo``, clearing the memo first once it holds
     ``MEMO_CAP`` entries. Every memo of the library stores through here: a
-    blanket kernel's predictions and an isolation network's choices and
-    faulty-branch solves."""
+    blanket kernel's predictions and an isolation network's choices,
+    faulty-branch solves and likelihood tables."""
     if len(memo) >= MEMO_CAP:
         memo.clear()
     memo[key] = value

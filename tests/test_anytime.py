@@ -135,6 +135,25 @@ def reference_states(min_candidates=2):
                        set(sensors) - set(chosen))
 
 
+def random_tree21_states(sensors):
+    """300 seeded random (findings, candidates) states of the 21-sensor
+    net, about one finding in five faulty."""
+    rng = np.random.default_rng(9)
+    states = []
+    for _ in range(300):
+        observed = rng.choice(sensors, int(rng.integers(0, 19)), replace=False)
+        findings = {str(s): FAULTY if rng.random() < 0.2 else CORRECT
+                    for s in observed}
+        states.append((findings, set(sensors) - findings.keys()))
+    return states
+
+
+def tree21_network(tree21):
+    """A new network equal to the calibrated 21-sensor one, memos empty."""
+    return sv.build_isolation_network(
+        tree21.emb, link_overrides=tree21.iso.params.strengths)
+
+
 class TestSelectionMemo:
     def build(self, **kwargs):
         return sv.build_isolation_network(sv.EmbTable(REFERENCE_EMB), **kwargs)
@@ -193,6 +212,7 @@ class TestBranchMemo:
     def check_warm_equals_cold(self, warm, cold, states):
         for findings, rest in states:
             cold.branch_memo.clear()
+            cold.likelihood_memo.clear()
             assert np.array_equal(self.branches(warm, findings, rest),
                                   self.branches(cold, findings, rest)), findings
 
@@ -208,23 +228,12 @@ class TestBranchMemo:
         self.check_warm_equals_cold(warm, build(), states)
 
     def test_random_tree21_states(self, tree21):
-        rng = np.random.default_rng(9)
-        sensors = tree21.iso.sensors
-        states = []
-        for _ in range(300):
-            observed = rng.choice(sensors, int(rng.integers(0, 19)),
-                                  replace=False)
-            findings = {str(s): FAULTY if rng.random() < 0.2 else CORRECT
-                        for s in observed}
-            states.append((findings, set(sensors) - findings.keys()))
-        warm = sv.build_isolation_network(
-            tree21.emb, link_overrides=tree21.iso.params.strengths)
+        states = random_tree21_states(tree21.iso.sensors)
+        warm = tree21_network(tree21)
         for findings, rest in states:
             self.branches(warm, findings, rest)
         assert len(warm.branch_memo) < sum(len(r) for _, r in states)
-        cold = sv.build_isolation_network(
-            tree21.emb, link_overrides=tree21.iso.params.strengths)
-        self.check_warm_equals_cold(warm, cold, states)
+        self.check_warm_equals_cold(warm, tree21_network(tree21), states)
 
     def test_patched_limit_reaches_elimination(self, monkeypatch):
         build = lambda: sv.build_isolation_network(sv.EmbTable(REFERENCE_EMB))
@@ -250,6 +259,98 @@ class TestBranchMemo:
         # five distinct faulty branches: 1, 2, 3, cleared, 1, 2
         self.branches(iso, {}, set(REFERENCE_EMB))
         assert len(iso.branch_memo) == 2
+
+
+class TestLikelihoodMemo:
+    """``_component`` memoises each coupled component's noisy-OR likelihood
+    table on the network; a warm network must give what empty memos give,
+    bit for bit, in the belief update and in the branch solves."""
+
+    @staticmethod
+    def build():
+        return sv.build_isolation_network(sv.EmbTable(REFERENCE_EMB))
+
+    @staticmethod
+    def solves(iso, findings, rest):
+        """The belief update and the branch solves of one state."""
+        faulty, correct = iso.finding_masks(findings)
+        candidates = iso.indices(sorted(rest))
+        return (lambda: isolation.noisy_or_root_posteriors(iso, faulty,
+                                                           correct),
+                lambda: isolation.branch_posteriors(iso, faulty, correct,
+                                                    candidates))
+
+    def warm_up(self, iso, states):
+        for findings, rest in states:
+            for solve in self.solves(iso, findings, rest):
+                solve()
+
+    def check_warm_equals_cold(self, warm, cold, states):
+        # the branch memos are emptied on both sides, so every faulty
+        # branch is solved again and reads the warm likelihood tables
+        for findings, rest in states:
+            pairs = zip(self.solves(warm, findings, rest),
+                        self.solves(cold, findings, rest))
+            for warm_solve, cold_solve in pairs:
+                warm.branch_memo.clear()
+                cold.branch_memo.clear()
+                cold.likelihood_memo.clear()
+                assert np.array_equal(warm_solve(), cold_solve()), findings
+
+    def test_reference_states(self):
+        warm = self.build()
+        states = list(reference_states(min_candidates=1))
+        self.warm_up(warm, states)
+        assert warm.likelihood_memo
+        self.check_warm_equals_cold(warm, self.build(), states)
+
+    def test_random_tree21_states(self, tree21):
+        states = random_tree21_states(tree21.iso.sensors)
+        warm = tree21_network(tree21)
+        self.warm_up(warm, states)
+        assert warm.likelihood_memo
+        self.check_warm_equals_cold(warm, tree21_network(tree21), states)
+
+    def test_batch_path_reads_the_memo(self):
+        warm = self.build()
+        for findings, rest in reference_states():
+            faulty, correct = warm.finding_masks(findings)
+            candidates = warm.indices(sorted(rest))
+            results = []
+            for iso in (warm, self.build()):
+                # the belief update stores the state's tables; the batch of
+                # correct branches over the same components only reads them
+                isolation.noisy_or_root_posteriors(iso, faulty, correct)
+                stored = dict(iso.likelihood_memo)
+                active_log, components = isolation._evidence(iso, faulty,
+                                                             correct)
+                batch = active_log[:, None] + iso.log_q[:, candidates]
+                results.append(isolation._posteriors(iso, batch, components))
+                assert iso.likelihood_memo == stored
+            assert results[0].ndim == 2
+            assert np.array_equal(*results), findings
+
+    def test_component_above_the_limit_is_not_stored(self, monkeypatch):
+        monkeypatch.setattr(isolation, "LIKELIHOOD_MEMO_ROWS", 4)
+        warm = self.build()
+        states = list(reference_states(min_candidates=1))
+        self.warm_up(warm, states)
+        memo = warm.likelihood_memo
+        # a faulty m couples its three causes m, p and t: 8 rows
+        assert (warm.mask("mpt"), (warm.index["m"],)) not in memo
+        assert memo and all(len(table) <= 4 for table in memo.values())
+        self.check_warm_equals_cold(warm, self.build(), states)
+
+    def test_cap_clears_the_memo(self, monkeypatch):
+        monkeypatch.setattr(model, "MEMO_CAP", 3)
+        iso = self.build()
+        sizes = []
+        # five faulty findings alone: five distinct components
+        for sensor in "agmpt":
+            isolation.noisy_or_root_posteriors(
+                iso, *iso.finding_masks({sensor: FAULTY}))
+            sizes.append(len(iso.likelihood_memo))
+        assert sizes == [1, 2, 3, 1, 2]
 
 
 class TestQuality:

@@ -552,6 +552,34 @@ def test_unreadable_input_or_unwritable_output_is_an_input_error(
     assert (network if out.parent.exists() else str(out)) in err
 
 
+@pytest.mark.parametrize("command, work", [
+    ("learn", "detection.fit_discretizer"),
+    ("compile-tree", "anytime.compile_decision_tree"),
+    ("validate", "anytime.run_anytime_validation"),
+    ("simulate", "harness.run_fault_experiments"),
+    ("compare", "harness.compare_selection_policies")])
+def test_unwritable_output_is_refused_before_the_work(
+        tmp_path, capsys, monkeypatch, train_csv, command, work):
+    ran = []
+
+    def fail(*args, **kwargs):
+        ran.append(command)
+        raise RuntimeError("the work ran")
+
+    monkeypatch.setattr(f"sensorval.{work}", fail)
+    if command == "learn":
+        argv = ["--structure", STRUCTURE, "--data", train_csv]
+    elif command == "compile-tree":
+        argv = ["--network", NET]
+    else:
+        argv = ["--network", NET, "--discretizer", DISC, "--data", READINGS]
+    out = tmp_path / "missing" / "out.txt"
+    rc = main([command, *argv, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2 and "cannot write" in err and str(out) in err
+    assert ran == []
+
+
 class TestOutputDigests:
     """SHA-256 pins of whole outputs on the fixture readings: a change that
     moves one sensor order, one belief or one report count shows here.
