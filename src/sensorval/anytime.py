@@ -16,9 +16,9 @@ from typing import Callable, Iterable, Iterator, Mapping
 import numpy as np
 
 from .detection import DetectionCriterion, Discretizer, validate_sensor
-from .isolation import (CORRECT, FAULTY, IsolationNet, _branches, _evidence,
-                        branch_scores, candidate_scores, fault_belief,
-                        noisy_or_root_posteriors)
+from .isolation import (CORRECT, FAULTY, IsolationNet, _branches,
+                        _components, branch_scores, candidate_scores,
+                        fault_belief, noisy_or_root_posteriors)
 from .model import BayesNet, EmbTable, _name, remember
 
 
@@ -211,7 +211,7 @@ def compile_decision_tree(iso: IsolationNet,
         if len(candidates) == 1:        # nothing to choose, here or below
             return candidates[0], None, None
         rows = _branches(iso, correct, iso.indices(candidates),
-                         *_evidence(iso, faulty, correct), state)
+                         _components(iso, faulty), state)
         i = _best(branch_scores(rows))
         return candidates[i], rows[1, i], rows[0, i]
 

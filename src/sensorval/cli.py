@@ -4,10 +4,10 @@ Validation steps stream as JSON lines flushed per step, so a consumer can
 act on partial results at any moment. All randomness flows from --seed.
 Exit codes: 0 success, 2 input error, 1 runtime error. Input is checked
 where it enters: a bad file, CSV, option value or decision tree, an input
-file that cannot be read as text or an output path that cannot be written
-raises InputError (or the NetworkError and DiscretizerError of the
-loaders), and any other exception, a KeyError or ValueError included, is
-a runtime error. Every command opens its outputs once its inputs are
+file that cannot be read as text, an output path that cannot be written
+or two outputs on one path raises InputError (or the NetworkError and
+DiscretizerError of the loaders), and any other exception, a KeyError or
+ValueError included, is a runtime error. Every command opens its outputs once its inputs are
 checked and before it does its work, so an unwritable path costs no work.
 """
 
@@ -109,6 +109,9 @@ def cmd_learn(args) -> int:
     if len(data) == 0:
         raise InputError("training CSV has no data rows")
     disc_path = args.discretizer or str(Path(args.out).with_suffix(".disc.json"))
+    if Path(disc_path).resolve() == Path(args.out).resolve():
+        raise InputError("--out and --discretizer name the same file: "
+                         f"{disc_path}")
     with _open_out(args.out, "network") as net_out, \
             _open_out(disc_path, "discretizer") as disc_out:
         disc = detection.fit_discretizer(data, structure.sensors,

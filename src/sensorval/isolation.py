@@ -5,10 +5,11 @@ faulty/correct) for every j in EMB(i); leaf conditionals are noisy-OR.
 Validation outcomes enter as hard evidence on the leaves and the root
 posteriors form the fault-probability vector refined step by step.
 
-Each network builds, once, the arrays that the exact solver reads, and
-memoises on itself what depends on the network alone: the noisy-OR
-likelihood table of each coupled component it enumerates. Findings are
-passed to the solver as bitmasks over the sensors.
+Each network builds, once, the arrays that the exact solver reads. One
+solver (``_solve``) answers every question about a component that faulty
+findings couple, for the belief update, for selection and for compiling,
+and memoises each answer on the network. Findings are passed to the
+solver as bitmasks over the sensors.
 """
 
 from __future__ import annotations
@@ -30,8 +31,6 @@ DEFAULT_LINK_STRENGTH = 0.99
 DEFAULT_PRIOR = 0.5
 # Components with more root assignments take variable elimination (tests patch it).
 ENUMERATION_LIMIT = 2 ** 16
-# Likelihood tables with more rows are not memoised (tests patch it).
-LIKELIHOOD_MEMO_ROWS = 2 ** 10
 
 
 def root_name(sensor: str) -> str:
@@ -60,18 +59,18 @@ class IsolationNet:
     sets of sensors are int bitmasks with bit i for ``sensors[i]``.
     ``select_memo`` belongs to ``anytime.select_next_sensor`` alone, which
     memoises its choices there; ``anytime.compile_decision_tree`` meets
-    each state once and neither reads nor fills it. ``branch_memo`` holds
-    the faulty-branch solves of ``branch_posteriors`` and of compiling.
-    ``likelihood_memo`` holds each coupled component's noisy-OR likelihood
-    table, keyed by its root mask and faulty effects in order; every
-    enumerated solve reads it (``_component``). All three store through
+    each state once and neither reads nor fills it. ``component_memo``
+    holds every enumerated component solve (``_solve``) of the belief
+    update, of ``branch_posteriors`` and of compiling, keyed by the
+    component's root mask, its faulty effects in order and the correct
+    findings among the apparent faults its roots cause. Both store through
     ``model.remember``, which caps each at ``model.MEMO_CAP`` entries.
     """
 
     __slots__ = ("sensors", "parents_of", "params", "priors", "index", "bit",
                  "prior", "ok_prior", "log_odds", "log_q", "parents",
                  "parent_mask", "child_mask", "linked_mask", "select_memo",
-                 "branch_memo", "likelihood_memo")
+                 "component_memo")
 
     def __init__(self, sensors: tuple[str, ...], parents_of: dict,
                  params: NoisyOrParams, priors: dict):
@@ -103,8 +102,7 @@ class IsolationNet:
             for i in causes:
                 self.linked_mask[j] |= self.child_mask[i]
         self.select_memo = {}
-        self.branch_memo = {}
-        self.likelihood_memo = {}
+        self.component_memo = {}
 
     def indices(self, sensors: Iterable[str]) -> list[int]:
         try:
@@ -215,15 +213,11 @@ def noisy_or_root_posteriors(net: IsolationNet, faulty: int,
     """Exact P(root active | leaf findings), in the network's sensor order.
 
     ``faulty`` and ``correct`` are bitmasks of the observed apparent
-    statuses. Correct findings factorize into per-root weights; each faulty
-    finding couples its parent set. Coupled components are summed out by
-    vectorized enumeration while small, by variable elimination beyond
-    ``ENUMERATION_LIMIT`` assignments. 1 - prod q is taken as
-    -expm1(sum log q) so weak links keep their precision.
+    statuses. Correct findings factorize into per-root weights, so a root
+    no faulty finding reaches has a closed form; each faulty finding
+    couples its parent set, and each coupled component is one ``_solve``.
     """
-    # ``_evidence`` written out: this is the belief update of every step
-    active_log = net.log_q[:, _indices(correct)].sum(axis=1)
-    return _posteriors(net, active_log, _components(net, faulty))
+    return _belief(net, correct, _components(net, faulty))
 
 
 def branch_posteriors(net: IsolationNet, faulty: int, correct: int,
@@ -232,61 +226,57 @@ def branch_posteriors(net: IsolationNet, faulty: int, correct: int,
 
     ``candidates`` are sensor indices without a finding. Row [0, i] holds
     the posteriors once ``candidates[i]`` is found correct, row [1, i] once
-    it is found faulty. A correct finding only adds ``log_q[:, c]`` to the
-    roots' active log-weights, so all correct branches are enumerated as
-    one batch over the state's components; a faulty finding changes only
-    the component that c's parents merge into, so only that component is
-    solved again and every other root keeps the state's posterior
-    (``_branches``).
+    it is found faulty (``_branches``).
     """
     for c in candidates:
         if (faulty | correct) >> c & 1:
             raise ValueError(f"{net.sensors[c]!r} already has a finding")
-    active_log, components = _evidence(net, faulty, correct)
-    return _branches(net, correct, candidates, active_log, components,
-                     _posteriors(net, active_log, components))
+    components = _components(net, faulty)
+    return _branches(net, correct, candidates, components,
+                     _belief(net, correct, components))
 
 
-def _evidence(net: IsolationNet, faulty: int, correct: int) -> tuple:
-    """What every solve of these findings reads: the roots' active
-    log-weights from the correct findings, and the components the faulty
-    ones couple (``_components``)."""
-    return (net.log_q[:, _indices(correct)].sum(axis=1),
-            _components(net, faulty))
+def _belief(net: IsolationNet, correct: int, components: list) -> np.ndarray:
+    """``noisy_or_root_posteriors`` given the faulty findings' components."""
+    w1 = net.prior * np.exp(net.log_q[:, _indices(correct)].sum(axis=1))
+    post = w1 / (w1 + net.ok_prior)
+    for roots, effects, linked in components:
+        members, solved = _solve(net, roots, effects, correct & linked)
+        post[members] = solved
+    return post
 
 
 def _branches(net: IsolationNet, correct: int, candidates: list[int],
-              active_log: np.ndarray, components: list,
-              state: np.ndarray) -> np.ndarray:
-    """``branch_posteriors`` from the findings' ``_evidence`` and their own
-    root posteriors ``state``, which a compile has from the parent node.
+              components: list, state: np.ndarray) -> np.ndarray:
+    """``branch_posteriors`` from the faulty findings' ``_components`` and
+    their root posteriors ``state``, which a compile has from the parent
+    node.
 
-    A faulty branch solves the roots its component joins given the faulty
-    effects in order and the correct findings on the apparent faults those
-    roots cause (the mask ``linked``), so it is memoised on ``net`` under
-    exactly that key, and a hit is one dict lookup and one row write.
-    Components solved by variable elimination are not memoised.
+    A correct finding on c adds ``log_q[:, c]`` to the roots' active
+    log-weights: the roots in no component take it in closed form, every
+    candidate at once, and a component is solved again only for the
+    candidates among the apparent faults its roots cause (its ``linked``
+    mask); the others keep the state's solve. A faulty finding on c changes
+    only the component that c's parents merge into (``_merge``), so every
+    other root keeps its ``state`` posterior.
     """
+    w1 = net.prior[:, None] * np.exp(
+        net.log_q[:, _indices(correct)].sum(axis=1)[:, None]
+        + net.log_q[:, candidates])
     out = np.empty((2, len(candidates), len(net.prior)))
-    batch = active_log[:, None] + net.log_q[:, candidates]
-    out[0] = _posteriors(net, batch, components).T
+    out[0] = (w1 / (w1 + net.ok_prior[:, None])).T
     out[1] = state
-    memo = net.branch_memo
+    for roots, effects, linked in components:
+        members, solved = _solve(net, roots, effects, correct & linked)
+        out[0][:, members] = solved
+        for i, c in enumerate(candidates):
+            if linked >> c & 1:
+                out[0, i, members] = _solve(net, roots, effects,
+                                            (correct | 1 << c) & linked)[1]
     for i, c in enumerate(candidates):
         (roots, effects, linked), _ = _merge(net, components, c)
-        key = (roots, effects, correct & linked)
-        enumerated = 2 ** roots.bit_count() <= ENUMERATION_LIMIT
-        solved = memo.get(key) if enumerated else None
-        if solved is None:
-            members = _indices(roots)
-            sums = net.log_q[members][:, _indices(key[2])].sum(axis=1)
-            solved = (np.array(members),
-                      _component(net, roots, members, effects,
-                                 net.log_odds[members] + sums,
-                                 net.prior[members] * np.exp(sums)))
-            if enumerated:
-                remember(memo, key, solved)
-        out[1, i][solved[0]] = solved[1]
+        members, solved = _solve(net, roots, effects, correct & linked)
+        out[1, i, members] = solved
     return out
 
 
@@ -332,63 +322,41 @@ def _components(net: IsolationNet, faulty: int) -> list:
     return components
 
 
-def _posteriors(net, active_log, components) -> np.ndarray:
-    """Root posteriors given the active log-weights of the correct findings:
-    a vector over roots, or a matrix with one column per batch entry."""
-    prior, ok_prior, log_odds = net.prior, net.ok_prior, net.log_odds
-    if active_log.ndim == 2:
-        prior, ok_prior = prior[:, None], ok_prior[:, None]
-        log_odds = log_odds[:, None]
-    w1 = prior * np.exp(active_log)
-    post = w1 / (w1 + ok_prior)
-    unary = log_odds + active_log
-    for roots, effects, _ in components:
-        members = _indices(roots)
-        post[members] = _component(net, roots, members, effects,
-                                   unary[members], w1[members])
-    return post
+def _solve(net: IsolationNet, roots: int, effects: tuple,
+           linked_correct: int) -> tuple:
+    """(member indices, posteriors) of the coupled component of the roots
+    ``roots`` given its faulty ``effects`` in order and the correct
+    findings ``linked_correct`` on the apparent faults those roots cause.
 
-
-def _component(net, roots, members, effects, unary, w1):
-    """Exact posteriors of one coupled component's roots ``members`` (the
-    mask ``roots``), from their log-odds ``unary`` and active weights ``w1``
-    given the correct findings (one row per member): vectors, or matrices
-    with one column per batch entry.
-
-    The likelihood of the faulty effects under each root assignment
-    depends on the network alone, so it is memoised on ``net`` under
-    (``roots``, ``effects``) while it has at most ``LIKELIHOOD_MEMO_ROWS``
-    rows."""
-    k = len(members)
-    if 2 ** k > ENUMERATION_LIMIT:
-        if w1.ndim == 1:
-            return _component_marginals_ve(net, members, effects, w1)
-        return np.column_stack([
-            _component_marginals_ve(net, members, effects, column)
-            for column in w1.T])
-    bits = _bit_table(k)
-    logw = bits @ unary
-    key = (roots, effects)
-    likelihood = net.likelihood_memo.get(key)
-    if likelihood is None:
-        likelihood = (-np.expm1(bits @ net.log_q[members][:, effects])
-                      ).prod(axis=1)
-        if len(likelihood) <= LIKELIHOOD_MEMO_ROWS:
-            remember(net.likelihood_memo, key, likelihood)
-    # a single solve, the belief update of every cycle step, stays in
-    # vector form: the axis arguments cost it about 1 us per component
-    if logw.ndim == 1:
-        weights = np.exp(logw - logw.max()) * likelihood
-        total = weights.sum()
-        smallest = total
-    else:
-        weights = np.exp(logw - logw.max(axis=0)) * likelihood[:, None]
-        total = weights.sum(axis=0)
-        smallest = total.min()
-    if smallest <= _EVIDENCE_EPS:
+    No other finding reaches these roots, so the solve is memoised on
+    ``net`` under exactly these arguments. Components of at most
+    ``ENUMERATION_LIMIT`` root assignments are summed out by vectorized
+    enumeration; larger ones take variable elimination and are not
+    memoised. 1 - prod q is taken as -expm1(sum log q) so weak links keep
+    their precision.
+    """
+    key = (roots, effects, linked_correct)
+    enumerated = 2 ** roots.bit_count() <= ENUMERATION_LIMIT
+    solved = net.component_memo.get(key) if enumerated else None
+    if solved is not None:
+        return solved
+    members = _indices(roots)
+    log_q = net.log_q[members]
+    sums = log_q[:, _indices(linked_correct)].sum(axis=1)
+    if not enumerated:
+        return np.array(members), _component_marginals_ve(
+            net, members, effects, net.prior[members] * np.exp(sums))
+    bits = _bit_table(len(members))
+    logw = bits @ (net.log_odds[members] + sums)
+    likelihood = (-np.expm1(bits @ log_q[:, effects])).prod(axis=1)
+    weights = np.exp(logw - logw.max()) * likelihood
+    total = weights.sum()
+    if total <= _EVIDENCE_EPS:
         raise InconsistentEvidenceError("findings have probability zero")
     # a subset's sum of weights can round above the total
-    return np.minimum((bits.T @ weights) / total, 1.0)
+    solved = np.array(members), np.minimum((bits.T @ weights) / total, 1.0)
+    remember(net.component_memo, key, solved)
+    return solved
 
 
 def _component_marginals_ve(net, members, effects, w1) -> np.ndarray:

@@ -25,8 +25,8 @@ MEMO_CAP = 1 << 10
 def remember(memo: dict, key, value) -> None:
     """Store ``value`` in ``memo``, clearing the memo first once it holds
     ``MEMO_CAP`` entries. Every memo of the library stores through here: a
-    blanket kernel's predictions and an isolation network's choices,
-    faulty-branch solves and likelihood tables."""
+    blanket kernel's predictions and an isolation network's choices and
+    component solves."""
     if len(memo) >= MEMO_CAP:
         memo.clear()
     memo[key] = value
@@ -86,6 +86,8 @@ class Cpt:
         object.__setattr__(self, "table", table)
         if table.ndim != 2:
             raise CptError(f"CPT for {self.child!r} must be 2-D")
+        if not np.isfinite(table).all():
+            raise CptError(f"CPT for {self.child!r} has a non-finite entry")
         if np.any(table < -ROW_SUM_TOL) or np.any(table > 1 + ROW_SUM_TOL):
             raise CptError(f"CPT for {self.child!r} has entries outside [0, 1]")
         sums = table.sum(axis=1)

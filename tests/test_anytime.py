@@ -200,75 +200,19 @@ class TestSelectionMemo:
         assert sizes == [1, 2, 3, 1, 2]
 
 
-class TestBranchMemo:
-    """``branch_posteriors`` memoises faulty-branch solves on the network;
-    a warm network must give what an empty memo gives, bit for bit."""
+class TestComponentMemo:
+    """``isolation._solve`` memoises every enumerated component solve on the
+    network; a warm network must give what an empty memo gives, bit for
+    bit, in the belief update and in the branch solves."""
+
+    @staticmethod
+    def build():
+        return sv.build_isolation_network(sv.EmbTable(REFERENCE_EMB))
 
     @staticmethod
     def branches(iso, findings, rest):
         return isolation.branch_posteriors(iso, *iso.finding_masks(findings),
                                            iso.indices(sorted(rest)))
-
-    def check_warm_equals_cold(self, warm, cold, states):
-        for findings, rest in states:
-            cold.branch_memo.clear()
-            cold.likelihood_memo.clear()
-            assert np.array_equal(self.branches(warm, findings, rest),
-                                  self.branches(cold, findings, rest)), findings
-
-    def test_reference_states(self):
-        build = lambda: sv.build_isolation_network(sv.EmbTable(REFERENCE_EMB))
-        warm = build()
-        states = list(reference_states())
-        for findings, rest in states:
-            self.branches(warm, findings, rest)
-        memo = warm.branch_memo
-        # fewer distinct solves than faulty branches asked for
-        assert 0 < len(memo) < sum(len(rest) for _, rest in states)
-        self.check_warm_equals_cold(warm, build(), states)
-
-    def test_random_tree21_states(self, tree21):
-        states = random_tree21_states(tree21.iso.sensors)
-        warm = tree21_network(tree21)
-        for findings, rest in states:
-            self.branches(warm, findings, rest)
-        assert len(warm.branch_memo) < sum(len(r) for _, r in states)
-        self.check_warm_equals_cold(warm, tree21_network(tree21), states)
-
-    def test_patched_limit_reaches_elimination(self, monkeypatch):
-        build = lambda: sv.build_isolation_network(sv.EmbTable(REFERENCE_EMB))
-        findings, rest = {"t": FAULTY, "m": CORRECT}, {"a", "g", "p"}
-        warm = build()
-        enumerated = self.branches(warm, findings, rest)
-        assert warm.branch_memo
-        monkeypatch.setattr(isolation, "ENUMERATION_LIMIT", 2)
-        solves = []
-        solve = isolation._component_marginals_ve
-        monkeypatch.setattr(isolation, "_component_marginals_ve",
-                            lambda *args: solves.append(args) or solve(*args))
-        eliminated = self.branches(warm, findings, rest)
-        # the warm network eliminates every faulty branch an empty memo does
-        warm_solves = len(solves)
-        self.branches(build(), findings, rest)
-        assert warm_solves > 0 and len(solves) == 2 * warm_solves
-        np.testing.assert_allclose(eliminated, enumerated, rtol=0, atol=1e-12)
-
-    def test_cap_clears_the_memo(self, monkeypatch):
-        monkeypatch.setattr(model, "MEMO_CAP", 3)
-        iso = sv.build_isolation_network(sv.EmbTable(REFERENCE_EMB))
-        # five distinct faulty branches: 1, 2, 3, cleared, 1, 2
-        self.branches(iso, {}, set(REFERENCE_EMB))
-        assert len(iso.branch_memo) == 2
-
-
-class TestLikelihoodMemo:
-    """``_component`` memoises each coupled component's noisy-OR likelihood
-    table on the network; a warm network must give what empty memos give,
-    bit for bit, in the belief update and in the branch solves."""
-
-    @staticmethod
-    def build():
-        return sv.build_isolation_network(sv.EmbTable(REFERENCE_EMB))
 
     @staticmethod
     def solves(iso, findings, rest):
@@ -286,60 +230,74 @@ class TestLikelihoodMemo:
                 solve()
 
     def check_warm_equals_cold(self, warm, cold, states):
-        # the branch memos are emptied on both sides, so every faulty
-        # branch is solved again and reads the warm likelihood tables
         for findings, rest in states:
             pairs = zip(self.solves(warm, findings, rest),
                         self.solves(cold, findings, rest))
             for warm_solve, cold_solve in pairs:
-                warm.branch_memo.clear()
-                cold.branch_memo.clear()
-                cold.likelihood_memo.clear()
+                cold.component_memo.clear()
                 assert np.array_equal(warm_solve(), cold_solve()), findings
 
     def test_reference_states(self):
         warm = self.build()
         states = list(reference_states(min_candidates=1))
         self.warm_up(warm, states)
-        assert warm.likelihood_memo
+        # fewer distinct solves than branches asked for
+        assert 0 < len(warm.component_memo) < sum(len(r) for _, r in states)
         self.check_warm_equals_cold(warm, self.build(), states)
 
-    def test_random_tree21_states(self, tree21):
+    def test_random_tree21_states(self, tree21, monkeypatch):
         states = random_tree21_states(tree21.iso.sensors)
         warm = tree21_network(tree21)
+        stores = []
+        monkeypatch.setattr(isolation, "remember",
+                            lambda *args: stores.append(model.remember(*args)))
         self.warm_up(warm, states)
-        assert warm.likelihood_memo
+        # every store is counted, across the cap's clears: fewer distinct
+        # solves than branches asked for
+        assert 0 < len(warm.component_memo) <= len(stores)
+        assert len(stores) < sum(len(r) for _, r in states)
         self.check_warm_equals_cold(warm, tree21_network(tree21), states)
 
-    def test_batch_path_reads_the_memo(self):
-        warm = self.build()
-        for findings, rest in reference_states():
-            faulty, correct = warm.finding_masks(findings)
-            candidates = warm.indices(sorted(rest))
-            results = []
-            for iso in (warm, self.build()):
-                # the belief update stores the state's tables; the batch of
-                # correct branches over the same components only reads them
-                isolation.noisy_or_root_posteriors(iso, faulty, correct)
-                stored = dict(iso.likelihood_memo)
-                active_log, components = isolation._evidence(iso, faulty,
-                                                             correct)
-                batch = active_log[:, None] + iso.log_q[:, candidates]
-                results.append(isolation._posteriors(iso, batch, components))
-                assert iso.likelihood_memo == stored
-            assert results[0].ndim == 2
-            assert np.array_equal(*results), findings
+    def test_belief_update_stores_its_component_solves(self):
+        for findings, _ in reference_states(min_candidates=0):
+            iso = self.build()
+            faulty, correct = iso.finding_masks(findings)
+            isolation.noisy_or_root_posteriors(iso, faulty, correct)
+            stored = dict(iso.component_memo)
+            assert stored.keys() == {
+                (roots, effects, correct & linked)
+                for roots, effects, linked in isolation._components(iso,
+                                                                   faulty)}
+            # a repeated finding set is answered from the memo alone
+            isolation.noisy_or_root_posteriors(iso, faulty, correct)
+            assert iso.component_memo.keys() == stored.keys()
+            assert all(iso.component_memo[key] is solved
+                       for key, solved in stored.items())
 
-    def test_component_above_the_limit_is_not_stored(self, monkeypatch):
-        monkeypatch.setattr(isolation, "LIKELIHOOD_MEMO_ROWS", 4)
-        warm = self.build()
-        states = list(reference_states(min_candidates=1))
-        self.warm_up(warm, states)
-        memo = warm.likelihood_memo
-        # a faulty m couples its three causes m, p and t: 8 rows
-        assert (warm.mask("mpt"), (warm.index["m"],)) not in memo
-        assert memo and all(len(table) <= 4 for table in memo.values())
-        self.check_warm_equals_cold(warm, self.build(), states)
+    def test_patched_limit_reaches_elimination(self, monkeypatch):
+        build = lambda: sv.build_isolation_network(sv.EmbTable(REFERENCE_EMB))
+        findings, rest = {"t": FAULTY, "m": CORRECT}, {"a", "g", "p"}
+        warm = build()
+        enumerated = self.branches(warm, findings, rest)
+        assert warm.component_memo
+        monkeypatch.setattr(isolation, "ENUMERATION_LIMIT", 2)
+        solves = []
+        solve = isolation._component_marginals_ve
+        monkeypatch.setattr(isolation, "_component_marginals_ve",
+                            lambda *args: solves.append(args) or solve(*args))
+        eliminated = self.branches(warm, findings, rest)
+        # the warm network eliminates every faulty branch an empty memo does
+        warm_solves = len(solves)
+        self.branches(build(), findings, rest)
+        assert warm_solves > 0 and len(solves) == 2 * warm_solves
+        np.testing.assert_allclose(eliminated, enumerated, rtol=0, atol=1e-12)
+
+    def test_cap_clears_the_branch_memo(self, monkeypatch):
+        monkeypatch.setattr(model, "MEMO_CAP", 3)
+        iso = self.build()
+        # five distinct faulty branches: 1, 2, 3, cleared, 1, 2
+        self.branches(iso, {}, set(REFERENCE_EMB))
+        assert len(iso.component_memo) == 2
 
     def test_cap_clears_the_memo(self, monkeypatch):
         monkeypatch.setattr(model, "MEMO_CAP", 3)
@@ -349,7 +307,7 @@ class TestLikelihoodMemo:
         for sensor in "agmpt":
             isolation.noisy_or_root_posteriors(
                 iso, *iso.finding_masks({sensor: FAULTY}))
-            sizes.append(len(iso.likelihood_memo))
+            sizes.append(len(iso.component_memo))
         assert sizes == [1, 2, 3, 1, 2]
 
 

@@ -57,6 +57,18 @@ class TestLearn:
         assert rc == 2
         assert "zz" in capsys.readouterr().err
 
+    def test_one_path_for_both_outputs(self, tmp_path, train_csv, capsys,
+                                       monkeypatch):
+        monkeypatch.setattr("sensorval.detection.fit_discretizer",
+                            lambda *args, **kwargs: pytest.fail("fitted"))
+        out = tmp_path / "net.json"
+        rc = main(["learn", "--structure", STRUCTURE, "--data", train_csv,
+                   "--out", str(out),
+                   "--discretizer", str(tmp_path / "." / "net.json")])
+        assert rc == 2
+        assert "same file" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_file(self, tmp_path, capsys):
         rc = main(["learn", "--structure", str(tmp_path / "nope.json"),
                    "--data", str(tmp_path / "nope.csv"),
@@ -283,7 +295,11 @@ def reference_net_with(change) -> str:
         "edge 'm' -> 't' is listed twice", id="repeated-edge"),
     pytest.param(
         reference_net_with(lambda doc: doc["cpts"].update(zz=doc["cpts"]["m"])),
-        "undeclared variable 'zz'", id="stray-cpt")])
+        "undeclared variable 'zz'", id="stray-cpt"),
+    pytest.param(
+        reference_net_with(lambda doc: [row.__setitem__(3, float("nan"))
+                                        for row in doc["cpts"]["m"]["table"]]),
+        "CPT for 'm' has a non-finite entry", id="nan-cpt-entry")])
 def test_malformed_network_is_an_input_error(tmp_path, capsys, document, part):
     rc, err = run_with_document(
         tmp_path, capsys, ["validate", "--discretizer", DISC, "--data",

@@ -115,6 +115,12 @@ class TestNetValidation:
         with pytest.raises(sv.CptError):
             sv.Cpt("x", (), np.array([[1.5, -0.5]]))
 
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+    def test_cpt_non_finite_entry_refused(self, entry):
+        # a NaN passes every comparison the range and row-sum checks make
+        with pytest.raises(sv.CptError, match="CPT for 'x' has a non-finite"):
+            sv.Cpt("x", ("p",), np.array([[0.5, 0.5], [entry, 0.5]]))
+
     def test_missing_cpt(self):
         variables = [sv.Variable("x", ("a", "b"))]
         with pytest.raises(sv.CptError, match="missing CPT"):
