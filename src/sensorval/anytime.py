@@ -262,15 +262,14 @@ def run_anytime_validation(
     tree: DecisionTree | None,
     reading: Mapping[str, float],
     criterion: DetectionCriterion,
-    selector: Callable[[IsolationNet, Mapping[str, str], set], str] | None = None,
 ) -> Iterator[StepRecord]:
     """Validate sensors one at a time, yielding a StepRecord after each.
 
     Order comes from tree traversal when a tree is supplied, otherwise from
-    on-line entropy selection (or the supplied ``selector``). A pruned-tree
-    path that ends early terminates the cycle with the last beliefs standing.
-    A tree or selector that picks an unknown sensor, or one already
-    validated in this cycle, raises ValueError naming it.
+    on-line entropy selection (``select_next_sensor``). A tree path that
+    ends early terminates the cycle with the last beliefs standing. A tree
+    that picks an unknown sensor, or one already validated in this cycle,
+    raises ValueError naming it.
     """
     # elapsed_ms counts library time only: the clock stops at each yield
     busy = 0.0
@@ -284,8 +283,6 @@ def run_anytime_validation(
             if node is None:
                 return
             sensor = node.sensor
-        elif selector is not None:
-            sensor = selector(iso, findings, unvalidated)
         else:
             sensor = select_next_sensor(iso, findings, unvalidated)
         if sensor not in unvalidated:

@@ -3,12 +3,13 @@
 Validation steps stream as JSON lines flushed per step, so a consumer can
 act on partial results at any moment. All randomness flows from --seed.
 Exit codes: 0 success, 2 input error, 1 runtime error. Input is checked
-where it enters: a bad file, CSV, option value or decision tree, an input
-file that cannot be read as text, an output path that cannot be written
-or two outputs on one path raises InputError (or the NetworkError and
-DiscretizerError of the loaders), and any other exception, a KeyError or
-ValueError included, is a runtime error. Every command opens its outputs once its inputs are
-checked and before it does its work, so an unwritable path costs no work.
+where it enters: a bad file, CSV, option value, structure or decision
+tree, an input file that cannot be read as text, or an output path that
+cannot be written or names an input or the other output raises InputError
+(or the NetworkError and DiscretizerError of the loaders), and any other
+exception, a KeyError or ValueError included, is a runtime error. Outputs
+are opened once the inputs are checked, before the work, so a bad output
+path costs no work; one that names an input is refused before any read.
 """
 
 from __future__ import annotations
@@ -50,6 +51,22 @@ def _open_out(path: str, what: str):
     except OSError as exc:
         raise InputError(f"cannot write {what} to {path}: "
                          f"{exc.strerror or exc}") from None
+
+
+def _refuse_overwrite(args, *outputs: str) -> None:
+    """InputError when one of the ``outputs`` (``args`` attributes) resolves
+    to the path of an input or of an earlier output."""
+    inputs = [flag for flag in ("structure", "network", "discretizer", "data",
+                                "tree") if flag not in outputs]
+    taken = {}
+    for flag in (*inputs, *outputs):
+        path = getattr(args, flag, None)
+        if not path:
+            continue
+        other = taken.setdefault(Path(path).resolve(), flag)
+        if flag in outputs and other != flag:
+            raise InputError(f"--{other} and --{flag} name the same file: "
+                             f"{path}")
 
 
 def _read_data(path: str, what: str, sensors) -> harness.Dataset:
@@ -104,27 +121,27 @@ def _build_isolation(net, args) -> isolation.IsolationNet:
 
 
 def cmd_learn(args) -> int:
+    if not args.discretizer:
+        args.discretizer = str(Path(args.out).with_suffix(".disc.json"))
+    _refuse_overwrite(args, "out", "discretizer")
     structure = model.load_structure(_read(args.structure, "structure"))
     data = _read_data(args.data, "training data", structure.sensors)
     if len(data) == 0:
         raise InputError("training CSV has no data rows")
-    disc_path = args.discretizer or str(Path(args.out).with_suffix(".disc.json"))
-    if Path(disc_path).resolve() == Path(args.out).resolve():
-        raise InputError("--out and --discretizer name the same file: "
-                         f"{disc_path}")
     with _open_out(args.out, "network") as net_out, \
-            _open_out(disc_path, "discretizer") as disc_out:
+            _open_out(args.discretizer, "discretizer") as disc_out:
         disc = detection.fit_discretizer(data, structure.sensors,
                                          bins=args.bins)
         net = harness.learn_parameters(structure, disc, data)
         net_out.write(model.save_network(net))
         disc_out.write(detection.discretizer_to_json(disc))
     print(f"learned {len(net.variables)} variables from {len(data)} rows "
-          f"-> {args.out}, discretizer -> {disc_path}")
+          f"-> {args.out}, discretizer -> {args.discretizer}")
     return EXIT_OK
 
 
 def cmd_compile_tree(args) -> int:
+    _refuse_overwrite(args, "out")
     net = model.load_network(_read(args.network, "network"))
     emb = model.emb_table(net)
     iso = _build_isolation(net, args)
@@ -141,6 +158,7 @@ def cmd_compile_tree(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    _refuse_overwrite(args, "out")
     net, disc = _load_model(args)
     iso = _build_isolation(net, args)
     tree = _load_tree(args, iso)
@@ -163,6 +181,7 @@ def cmd_simulate(args) -> int:
     # checked here, not per record, so a CSV without rows is refused too
     if not 0.0 < args.declare < 1.0:
         raise InputError("declaration threshold must lie in (0, 1)")
+    _refuse_overwrite(args, "out")
     net, disc = _load_model(args)
     iso = _build_isolation(net, args)
     tree = _load_tree(args, iso)
@@ -202,6 +221,7 @@ def cmd_compare(args) -> int:
         raise InputError("--experiments must be at least 1")
     if args.seed < 0:
         raise InputError("--seed must not be negative")
+    _refuse_overwrite(args, "out")
     net, disc = _load_model(args)
     iso = _build_isolation(net, args)
     data = _read_data(args.data, "test data", net.names())

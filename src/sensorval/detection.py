@@ -190,11 +190,6 @@ class DetectionCriterion:
             return lambda x: abs(x - mean) > threshold
         return _TailRule(p, level, mean, deviations)
 
-    def faulty(self, x: float, p: np.ndarray, d: Discretizer,
-               sensor: str) -> bool:
-        """The verdict of ``rule`` on the reading x."""
-        return self.rule(p, d, sensor)(x)
-
 
 class _TailRule:
     """The pvalue verdict on a prediction p: a reading x is faulty when the

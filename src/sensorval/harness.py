@@ -14,10 +14,10 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .anytime import DecisionTree, run_anytime_validation
+from .anytime import DecisionTree, TreeNode, run_anytime_validation
 from .detection import DetectionCriterion, Discretizer, blanket_kernel
 from .isolation import IsolationNet, declare_faults, fault_belief
-from .model import BayesNet, Cpt, NetworkStructure, Variable
+from .model import BayesNet, Cpt, NetworkStructure, Variable, topological_order
 
 SEVERE, MILD = "severe", "mild"
 MILD_FRACTION = 0.25
@@ -230,30 +230,20 @@ def generate_synthetic_dataset(structure: NetworkStructure, n_rows: int,
     column = {s: k for k, s in enumerate(structure.sensors)}
     # column-major, so that each sensor's column is contiguous
     values = np.empty((n_rows, len(column)), order="F")
-    done = set()
     u = np.linspace(0.0, 1.0, n_rows)
     ramp = np.clip((u - 0.15) / 0.7, 0.0, 1.0)
     wiggle = 0.03 * np.sin(2.0 * np.pi * 3.0 * u)
-    pending = list(structure.sensors)
-    while pending:
-        still = []
-        for s in pending:
-            parents = structure.parents_of(s)
-            if any(p not in done for p in parents):
-                still.append(s)
-                continue
-            if not parents:
-                values[:, column[s]] = (ramp + wiggle
-                                        + rng.normal(0.0, noise, n_rows))
-            else:
-                w = rng.uniform(0.8, 1.2, len(parents))
-                w /= w.sum()
-                base = sum(wi * values[:, column[p]] for wi, p in zip(w, parents))
-                values[:, column[s]] = base + rng.normal(0.0, noise, n_rows)
-            done.add(s)
-        if len(still) == len(pending):
-            raise ValueError("structure is not acyclic")
-        pending = still
+    # the order fixes the draws
+    for s in topological_order(structure.sensors, structure.edges):
+        parents = structure.parents_of(s)
+        if not parents:
+            values[:, column[s]] = (ramp + wiggle
+                                    + rng.normal(0.0, noise, n_rows))
+        else:
+            w = rng.uniform(0.8, 1.2, len(parents))
+            w /= w.sum()
+            base = sum(wi * values[:, column[p]] for wi, p in zip(w, parents))
+            values[:, column[s]] = base + rng.normal(0.0, noise, n_rows)
     return Dataset(structure.sensors, values)
 
 
@@ -399,7 +389,8 @@ def compare_selection_policies(
     criterion: DetectionCriterion | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Mean quality per step for entropy-guided vs seeded-random selection
-    over matched single-fault experiments (severe faults, cycled targets)."""
+    over matched single-fault experiments (severe faults, cycled targets);
+    each random order is drawn up front and walked as a chain of tree nodes."""
     if n_experiments < 1:
         raise ValueError("need at least one experiment")
     if len(test) == 0:
@@ -415,14 +406,14 @@ def compare_selection_policies(
         row = test.row(int(rng.integers(len(test))))
         faulted = inject_fault(row, FaultSpec(target, SEVERE), d)
         policy_rng = np.random.default_rng(rng.integers(2 ** 63))
-
-        def random_selector(_iso, _findings, unvalidated):
-            pool = sorted(unvalidated)
-            return pool[int(policy_rng.integers(len(pool)))]
-
-        for policy, selector in (("entropy", None), ("random", random_selector)):
+        pool = sorted(sensors)
+        chain = None
+        for sensor in reversed([pool.pop(int(policy_rng.integers(len(pool))))
+                                for _ in range(n)]):
+            chain = TreeNode(sensor, chain, chain)
+        for policy, tree in (("entropy", None), ("random", DecisionTree(chain))):
             mean_q[policy] += [rec.quality for rec in run_anytime_validation(
-                net, d, iso, None, faulted, criterion, selector=selector)]
+                net, d, iso, tree, faulted, criterion)]
     return mean_q["entropy"] / n_experiments, mean_q["random"] / n_experiments
 
 

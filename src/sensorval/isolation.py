@@ -60,9 +60,9 @@ class IsolationNet:
     ``select_memo`` belongs to ``anytime.select_next_sensor`` alone, which
     memoises its choices there; ``anytime.compile_decision_tree`` meets
     each state once and neither reads nor fills it. ``component_memo``
-    holds every enumerated component solve (``_solve``) of the belief
-    update, of ``branch_posteriors`` and of compiling, keyed by the
-    component's root mask, its faulty effects in order and the correct
+    holds every component solve (``_solve``), enumerated or eliminated, of
+    the belief update, of ``branch_posteriors`` and of compiling, keyed by
+    the component's root mask, its faulty effects in order and the correct
     findings among the apparent faults its roots cause. Both store through
     ``model.remember``, which caps each at ``model.MEMO_CAP`` entries.
     """
@@ -331,30 +331,30 @@ def _solve(net: IsolationNet, roots: int, effects: tuple,
     No other finding reaches these roots, so the solve is memoised on
     ``net`` under exactly these arguments. Components of at most
     ``ENUMERATION_LIMIT`` root assignments are summed out by vectorized
-    enumeration; larger ones take variable elimination and are not
-    memoised. 1 - prod q is taken as -expm1(sum log q) so weak links keep
-    their precision.
+    enumeration, larger ones by variable elimination. 1 - prod q is taken
+    as -expm1(sum log q) so weak links keep their precision.
     """
     key = (roots, effects, linked_correct)
-    enumerated = 2 ** roots.bit_count() <= ENUMERATION_LIMIT
-    solved = net.component_memo.get(key) if enumerated else None
+    solved = net.component_memo.get(key)
     if solved is not None:
         return solved
     members = _indices(roots)
     log_q = net.log_q[members]
     sums = log_q[:, _indices(linked_correct)].sum(axis=1)
-    if not enumerated:
-        return np.array(members), _component_marginals_ve(
-            net, members, effects, net.prior[members] * np.exp(sums))
-    bits = _bit_table(len(members))
-    logw = bits @ (net.log_odds[members] + sums)
-    likelihood = (-np.expm1(bits @ log_q[:, effects])).prod(axis=1)
-    weights = np.exp(logw - logw.max()) * likelihood
-    total = weights.sum()
-    if total <= _EVIDENCE_EPS:
-        raise InconsistentEvidenceError("findings have probability zero")
-    # a subset's sum of weights can round above the total
-    solved = np.array(members), np.minimum((bits.T @ weights) / total, 1.0)
+    if 2 ** len(members) > ENUMERATION_LIMIT:
+        post = _component_marginals_ve(net, members, effects,
+                                       net.prior[members] * np.exp(sums))
+    else:
+        bits = _bit_table(len(members))
+        logw = bits @ (net.log_odds[members] + sums)
+        likelihood = (-np.expm1(bits @ log_q[:, effects])).prod(axis=1)
+        weights = np.exp(logw - logw.max()) * likelihood
+        total = weights.sum()
+        if total <= _EVIDENCE_EPS:
+            raise InconsistentEvidenceError("findings have probability zero")
+        # a subset's sum of weights can round above the total
+        post = np.minimum((bits.T @ weights) / total, 1.0)
+    solved = np.array(members), post
     remember(net.component_memo, key, solved)
     return solved
 

@@ -51,6 +51,8 @@ class UnknownVariableError(NetworkError, KeyError):
         super().__init__(f"unknown variable {name!r}")
         self.name = name
 
+    __str__ = Exception.__str__         # KeyError's would add quotes
+
 
 @dataclass(frozen=True)
 class Variable:
@@ -98,12 +100,33 @@ class Cpt:
             )
 
 
-def _refuse_repeated_edges(edges: Iterable[tuple[str, str]]) -> None:
-    seen = set()
+def topological_order(names: Sequence[str],
+                      edges: Sequence[tuple[str, str]]) -> list[str]:
+    """``names`` with every parent before its children, in the order of
+    repeated passes that each take, in ``names`` order, every variable
+    whose parents are taken. Refuses a repeated name or edge
+    (NetworkError), an edge end not among ``names`` (UnknownVariableError)
+    and a cycle (CycleError, naming the variables no pass takes)."""
+    parents = {n: set() for n in names}
+    if len(parents) < len(names):
+        raise NetworkError("duplicate variable names")
     for p, c in edges:
-        if (p, c) in seen:
-            raise NetworkError(f"edge {p!r} -> {c!r} is listed twice")
-        seen.add((p, c))
+        if p not in parents or c not in parents:
+            raise UnknownVariableError(p if p not in parents else c)
+        parents[c].add(p)
+    order = {}                          # taken so far, in order
+    while len(order) < len(parents):
+        before = len(order)
+        for n in names:
+            if n not in order and parents[n] <= order.keys():
+                order[n] = None
+        if len(order) == before:
+            raise CycleError("edge list contains a directed cycle among "
+                             f"{sorted(parents.keys() - order.keys())}")
+    if sum(map(len, parents.values())) < len(edges):
+        p, c = next(e for k, e in enumerate(edges) if e in edges[:k])
+        raise NetworkError(f"edge {p!r} -> {c!r} is listed twice")
+    return list(order)
 
 
 class BayesNet:
@@ -114,22 +137,14 @@ class BayesNet:
                  cpts: Mapping[str, Cpt]):
         self.variables = tuple(variables)
         names = [v.name for v in self.variables]
-        if len(set(names)) != len(names):
-            raise NetworkError("duplicate variable names")
         self._vars = {v.name: v for v in self.variables}
         self.edges = tuple((p, c) for p, c in edges)
-        for p, c in self.edges:
-            if p not in self._vars:
-                raise UnknownVariableError(p)
-            if c not in self._vars:
-                raise UnknownVariableError(c)
+        topological_order(names, self.edges)
         self._parents = {n: [] for n in names}
         self._children = {n: [] for n in names}
         for p, c in self.edges:
             self._parents[c].append(p)
             self._children[p].append(c)
-        self._check_acyclic()
-        _refuse_repeated_edges(self.edges)
         # sensor -> detection.BlanketKernel, filled by detection on first use
         self.blanket_kernels: dict = {}
         self.cpts = dict(cpts)
@@ -154,22 +169,6 @@ class BayesNet:
                     f"CPT for {name!r} has shape {cpt.table.shape}, "
                     f"expected {expected}"
                 )
-
-    def _check_acyclic(self):
-        indeg = {n: len(ps) for n, ps in self._parents.items()}
-        order = [n for n, d in indeg.items() if d == 0]
-        seen = 0
-        queue = list(order)
-        while queue:
-            n = queue.pop()
-            seen += 1
-            for c in self._children[n]:
-                indeg[c] -= 1
-                if indeg[c] == 0:
-                    queue.append(c)
-        if seen != len(self._parents):
-            cyclic = sorted(n for n, d in indeg.items() if d > 0)
-            raise CycleError(f"edge list contains a directed cycle among {cyclic}")
 
     # --- lookups -----------------------------------------------------------
 
@@ -243,7 +242,7 @@ def emb_table(net: BayesNet) -> EmbTable:
 
 @dataclass(frozen=True)
 class NetworkStructure:
-    """A network skeleton (names + edges) whose CPTs are still to be learned."""
+    """An acyclic network skeleton (names + edges), its CPTs not learned."""
 
     name: str
     sensors: tuple[str, ...]
@@ -252,11 +251,7 @@ class NetworkStructure:
     def __post_init__(self):
         object.__setattr__(self, "sensors", tuple(self.sensors))
         object.__setattr__(self, "edges", tuple((p, c) for p, c in self.edges))
-        known = set(self.sensors)
-        for p, c in self.edges:
-            if p not in known or c not in known:
-                raise UnknownVariableError(p if p not in known else c)
-        _refuse_repeated_edges(self.edges)
+        topological_order(self.sensors, self.edges)
 
     def parents_of(self, sensor: str) -> tuple[str, ...]:
         return tuple(p for p, c in self.edges if c == sensor)

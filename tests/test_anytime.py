@@ -275,22 +275,62 @@ class TestComponentMemo:
                        for key, solved in stored.items())
 
     def test_patched_limit_reaches_elimination(self, monkeypatch):
-        build = lambda: sv.build_isolation_network(sv.EmbTable(REFERENCE_EMB))
         findings, rest = {"t": FAULTY, "m": CORRECT}, {"a", "g", "p"}
-        warm = build()
-        enumerated = self.branches(warm, findings, rest)
-        assert warm.component_memo
+        enumerated = self.branches(self.build(), findings, rest)
         monkeypatch.setattr(isolation, "ENUMERATION_LIMIT", 2)
         solves = []
         solve = isolation._component_marginals_ve
         monkeypatch.setattr(isolation, "_component_marginals_ve",
                             lambda *args: solves.append(args) or solve(*args))
-        eliminated = self.branches(warm, findings, rest)
-        # the warm network eliminates every faulty branch an empty memo does
-        warm_solves = len(solves)
-        self.branches(build(), findings, rest)
-        assert warm_solves > 0 and len(solves) == 2 * warm_solves
+        # a fresh network, whose memo holds no enumerated solve
+        iso = self.build()
+        eliminated = self.branches(iso, findings, rest)
+        assert solves
+        # eliminated solves are memoised like enumerated ones
+        eliminations = len(solves)
+        assert np.array_equal(self.branches(iso, findings, rest), eliminated)
+        assert len(solves) == eliminations
         np.testing.assert_allclose(eliminated, enumerated, rtol=0, atol=1e-12)
+
+    def test_star_component_eliminated_equals_enumerated(self, monkeypatch):
+        """17 coupled roots (2**17 assignments, above the default limit):
+        one hub in the blanket of 16 leaves, the hub found faulty."""
+        leaves = [f"l{i:02d}" for i in range(16)]
+        emb = sv.EmbTable({"hub": {"hub", *leaves},
+                           **{leaf: {leaf, "hub"} for leaf in leaves}})
+        rng = np.random.default_rng(17)
+        links = {(i, j): float(rng.uniform(0.3, 0.99))
+                 for i in emb for j in sorted(emb[i])}
+
+        def solve():
+            iso = sv.build_isolation_network(emb, prior=0.2,
+                                             link_overrides=links)
+            faulty, correct = iso.finding_masks({"hub": FAULTY,
+                                                 "l15": CORRECT})
+            candidates = iso.indices(["l00", "l07"])
+            return iso, lambda: (
+                isolation.noisy_or_root_posteriors(iso, faulty, correct),
+                isolation.branch_posteriors(iso, faulty, correct, candidates))
+
+        solves = []
+        eliminate = isolation._component_marginals_ve
+        monkeypatch.setattr(isolation, "_component_marginals_ve",
+                            lambda *args: solves.append(args)
+                            or eliminate(*args))
+        iso, run = solve()
+        eliminated = run()
+        assert solves, "the default limit did not reach elimination"
+        eliminations = len(solves)
+        # a repeat is served from the memo, with no second elimination
+        again = run()
+        assert len(solves) == eliminations
+        assert all(map(np.array_equal, again, eliminated))
+        assert len(iso.component_memo) == eliminations
+        monkeypatch.setattr(isolation, "ENUMERATION_LIMIT", 2 ** 20)
+        enumerated = solve()[1]()
+        assert len(solves) == eliminations
+        for got, want in zip(eliminated, enumerated):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
 
     def test_cap_clears_the_branch_memo(self, monkeypatch):
         monkeypatch.setattr(model, "MEMO_CAP", 3)
@@ -672,17 +712,6 @@ class TestRunAnytimeValidation:
             list(sv.run_anytime_validation(
                 ref.net, ref.discretizer, ref.iso, tree, ref.test.row(10),
                 crit))
-
-    @pytest.mark.parametrize("pick, message", [
-        (lambda iso, findings, rest: "zz", "unknown sensor 'zz'"),
-        (lambda iso, findings, rest: "t", "'t' was already validated"),
-    ])
-    def test_selector_pick_is_checked(self, ref, pick, message):
-        crit = sv.DetectionCriterion("sigma", 3.0)
-        with pytest.raises(ValueError, match=message):
-            list(sv.run_anytime_validation(
-                ref.net, ref.discretizer, ref.iso, None, ref.test.row(10),
-                crit, selector=pick))
 
     def test_step_record_json_fields(self, ref):
         crit = sv.DetectionCriterion("sigma", 3.0)

@@ -106,7 +106,9 @@ def test_branch_posteriors_match_enumeration(state):
     batched = isolation.branch_posteriors(iso, *masks, iso.indices(candidates))
     # enumeration limit 2 sends every component of two or more roots
     # through variable elimination; a function-scoped monkeypatch would
-    # fail hypothesis's health check
+    # fail hypothesis's health check. Eliminated solves share the memo
+    # with enumerated ones, so it is emptied first.
+    iso.component_memo.clear()
     with patch.object(isolation, "ENUMERATION_LIMIT", 2):
         eliminated = isolation.branch_posteriors(iso, *masks,
                                                  iso.indices(candidates))
@@ -142,6 +144,8 @@ def test_enumeration_matches_brute_force_posterior(ref_iso):
 def test_elimination_fallback_scores(ref_iso):
     for findings in ({"t": FAULTY}, {"t": FAULTY, "g": FAULTY, "p": CORRECT}):
         candidates = [s for s in ref_iso.sensors if s not in findings]
+        # the shared network may hold these solves enumerated
+        ref_iso.component_memo.clear()
         with patch.object(isolation, "ENUMERATION_LIMIT", 2):
             scores = isolation.candidate_scores(
                 ref_iso, *ref_iso.finding_masks(findings),

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import sensorval as sv
-from sensorval import anytime
+from sensorval import anytime, benchmarks
 from sensorval.cli import main
 from conftest import FIXTURES
 
@@ -299,7 +299,24 @@ def reference_net_with(change) -> str:
     pytest.param(
         reference_net_with(lambda doc: [row.__setitem__(3, float("nan"))
                                         for row in doc["cpts"]["m"]["table"]]),
-        "CPT for 'm' has a non-finite entry", id="nan-cpt-entry")])
+        "CPT for 'm' has a non-finite entry", id="nan-cpt-entry"),
+    pytest.param(
+        reference_net_with(lambda doc: doc["variables"].append(
+            doc["variables"][0])),
+        "duplicate variable names", id="duplicate-variable"),
+    pytest.param(
+        reference_net_with(lambda doc: doc["edges"].append(["m", "zz"])),
+        # printed without KeyError's quotes
+        "error: unknown variable 'zz'\n", id="unknown-edge-end"),
+    pytest.param(
+        reference_net_with(lambda doc: doc["cpts"]["m"].update(
+            table=doc["cpts"]["m"]["table"][0])),
+        "CPT for 'm' must be 2-D", id="1-d-cpt"),
+    pytest.param(
+        reference_net_with(lambda doc: doc["cpts"]["m"]["table"].append(
+            doc["cpts"]["m"]["table"][0])),
+        "CPT for 'm' has shape (2, 10), expected (1, 10)",
+        id="cpt-shape")])
 def test_malformed_network_is_an_input_error(tmp_path, capsys, document, part):
     rc, err = run_with_document(
         tmp_path, capsys, ["validate", "--discretizer", DISC, "--data",
@@ -363,13 +380,95 @@ def test_huge_reading_is_validated(tmp_path, capsys):
     ('{"bins": 10, "bounds": {"a": [0, Infinity]}}', "sensor 'a'"),
     ('{"bins": 10, "bounds": {"a": [-Infinity, Infinity]}}', "sensor 'a'"),
     ('{"bins": 10, "bounds": {"a": [0, 1e308]}}', "sensor 'a'"),
-    ('{"bins": 10, "bounds": {"a": [-1e308, 1e308]}}', "sensor 'a'")])
+    ('{"bins": 10, "bounds": {"a": [-1e308, 1e308]}}', "sensor 'a'"),
+    ('{"bins": 10, "bounds": {"a": [1, 1]}}',
+     "zero-width range for sensor 'a'"),
+    pytest.param(json.dumps({"bins": 10, "bounds": {
+        s: b for s, b in json.loads(Path(DISC).read_text())["bounds"].items()
+        if s != "t"}}), "discretizer is missing sensors ['t']",
+        id="missing-sensor")])
 def test_malformed_discretizer_is_an_input_error(tmp_path, capsys, document,
                                                  part):
     rc, err = run_with_document(
         tmp_path, capsys, ["validate", "--network", NET, "--data", READINGS,
                            "--discretizer"], document)
     assert rc == 2 and part in err and "runtime error" not in err
+
+
+@pytest.mark.parametrize("document, message", [
+    ('{"variables": ["a", "g", "m"], "edges": '
+     '[["a", "g"], ["g", "m"], ["m", "a"]]}',
+     "directed cycle among ['a', 'g', 'm']"),
+    ('{"variables": ["a", "g", "a"], "edges": []}',
+     "duplicate variable names")])
+def test_bad_structure_is_refused_before_any_output(tmp_path, capsys,
+                                                    document, message):
+    structure = tmp_path / "structure.json"
+    structure.write_text(document)
+    out = tmp_path / "net.json"
+    out.write_text("kept")
+    rc = main(["learn", "--structure", str(structure), "--data", READINGS,
+               "--out", str(out)])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert out.read_text() == "kept"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["net.json",
+                                                          "structure.json"]
+
+
+class TestOutputNamesAnInput:
+    """No command writes over one of its inputs or its other output: it
+    exits 2 before it reads or opens a file, and leaves every file as it
+    was. Each command runs on copies of the fixture inputs."""
+
+    FILES = {"network": NET, "discretizer": DISC, "data": READINGS,
+             "tree": str(FIXTURES / "reference_pruned.tree.json"),
+             "structure": STRUCTURE}
+
+    def refused(self, tmp_path, capsys, argv, inputs, output, target):
+        for flag in inputs:
+            path = tmp_path / Path(self.FILES[flag]).name
+            path.write_bytes(Path(self.FILES[flag]).read_bytes())
+            argv += [f"--{flag}", str(path)]
+        before = {p: p.read_bytes() for p in tmp_path.iterdir()}
+        target = tmp_path / "." / Path(self.FILES[target]).name
+        rc = main([*argv, f"--{output}", str(target)])
+        assert rc == 2
+        assert "same file" in capsys.readouterr().err
+        assert {p: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    @pytest.mark.parametrize("output, target", [
+        ("out", "structure"), ("out", "data"), ("discretizer", "structure"),
+        ("discretizer", "data")])
+    def test_learn(self, tmp_path, capsys, output, target):
+        # the other output has a path of its own
+        argv = ["learn"] if output == "out" else [
+            "learn", "--out", str(tmp_path / "net.json")]
+        self.refused(tmp_path, capsys, argv, ("structure", "data"), output,
+                     target)
+
+    def test_compile_tree(self, tmp_path, capsys):
+        self.refused(tmp_path, capsys, ["compile-tree"], ("network",), "out",
+                     "network")
+
+    @pytest.mark.parametrize("target", ["network", "discretizer", "data",
+                                        "tree"])
+    def test_validate(self, tmp_path, capsys, target):
+        self.refused(tmp_path, capsys, ["validate"],
+                     ("network", "discretizer", "data", "tree"), "out",
+                     target)
+
+    @pytest.mark.parametrize("target", ["network", "discretizer", "data",
+                                        "tree"])
+    def test_simulate(self, tmp_path, capsys, target):
+        self.refused(tmp_path, capsys, ["simulate"],
+                     ("network", "discretizer", "data", "tree"), "out",
+                     target)
+
+    @pytest.mark.parametrize("target", ["network", "discretizer", "data"])
+    def test_compare(self, tmp_path, capsys, target):
+        self.refused(tmp_path, capsys, ["compare"],
+                     ("network", "discretizer", "data"), "out", target)
 
 
 class TestSimulateAndCompare:
@@ -632,3 +731,25 @@ class TestOutputDigests:
                      "--out", str(out)]) == 0
         assert self.digest(out.read_text()) == (
             "dec882516cecbec7636b92cc44d5d46fa2ab4ff45e277d5e5f4de8cc329e18d3")
+
+    def test_compare_profile(self, tmp_path):
+        out = tmp_path / "profile.csv"
+        assert main(["compare", "--network", NET, "--discretizer", DISC,
+                     "--data", READINGS, "--criterion", "pvalue",
+                     "--seed", "5", "--experiments", "300",
+                     "--out", str(out)]) == 0
+        assert self.digest(out.read_text()) == (
+            "a249775fa003cfca54451311bde2b7876b14faa0a7ff678c49ffc898a8b755cb")
+
+    @pytest.mark.parametrize("structure, seed, want", [
+        (sv.reference_structure(), benchmarks.REFERENCE_DATA_SEED,
+         "5d7c31fa40e6f816c6701939b18837f5612fea60cd6df7673a03b5da88b1f76a"),
+        (sv.random_tree_structure(21, seed=benchmarks.TREE21_STRUCTURE_SEED),
+         benchmarks.TREE21_DATA_SEED,
+         "7d758a7ca115b0c880d2428528acf96413db2ace2da588fb9c416cc511fd86e2")])
+    def test_synthetic_table(self, structure, seed, want):
+        # the draw order fixes every synthetic table, learned network and
+        # golden tree
+        values = sv.generate_synthetic_dataset(
+            structure, benchmarks.N_ROWS, benchmarks.NOISE, seed).values
+        assert hashlib.sha256(values.tobytes()).hexdigest() == want

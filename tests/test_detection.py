@@ -124,7 +124,7 @@ class TestPredictDistribution:
 
 def judge(probs, d, x, criterion, sensor="s"):
     """The verdict on reading x of a sensor predicted as ``probs``."""
-    return criterion.faulty(x, np.asarray(probs, dtype=float), d, sensor)
+    return criterion.rule(np.asarray(probs, dtype=float), d, sensor)(x)
 
 
 SIGMA1 = sv.DetectionCriterion("sigma", 1.0)
@@ -168,7 +168,7 @@ class TestMoments:
 
 
 class TestApplyCriterion:
-    """``DetectionCriterion.faulty``, the one verdict of every criterion."""
+    """``DetectionCriterion.rule``, the one verdict of every criterion."""
 
     @staticmethod
     def mean(probs, d):
@@ -457,7 +457,7 @@ class TestVerdictRules:
             rule = criterion.rule(p, d, "s")
             want = [parent_faulty(criterion, x, p, d, "s") for x in xs]
             # cold, then from slots the earlier readings filled
-            assert [criterion.faulty(x, p, d, "s") for x in xs] == want
+            assert [criterion.rule(p, d, "s")(x) for x in xs] == want
             assert [rule(x) for x in xs] == want
             assert [rule(x) for x in xs] == want
 

@@ -340,7 +340,9 @@ class TestNoisyOrPosteriors:
         # 12 roots stay below the default limit, so this enumerates
         enum = noisy_or_root_posteriors(iso, faulty, correct)
         # a limit of 2 sends every component of two or more roots through
-        # variable elimination
+        # variable elimination; the memo holds the enumerated solves, so
+        # it is emptied first
+        iso.component_memo.clear()
         monkeypatch.setattr(isolation, "ENUMERATION_LIMIT", 2)
         solves = []
         solve = isolation._component_marginals_ve

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import sensorval as sv
+from sensorval import model
 from conftest import FIXTURES, REFERENCE_EMB, random_binary_net
 
 
@@ -106,6 +107,19 @@ class TestNetValidation:
                       (cycle[2], cycle[0])]
             with pytest.raises(sv.CycleError):
                 tiny_net(edges, names=names)
+
+    def test_topological_order_is_the_pass_order(self):
+        # each pass takes, in name order, every variable whose parents are
+        # taken, a child after its parent in the same pass included
+        edges = [("a", "b"), ("b", "c"), ("d", "e")]
+        assert model.topological_order(("c", "b", "a", "d", "e"),
+                                       edges) == ["a", "d", "e", "b", "c"]
+
+    def test_structure_cycle_rejected(self):
+        # a variable downstream of the cycle is named with it
+        with pytest.raises(sv.CycleError, match=r"among \['x', 'y', 'z'\]"):
+            sv.NetworkStructure("s", ("w", "x", "y", "z"),
+                                (("x", "y"), ("y", "x"), ("y", "z")))
 
     def test_cpt_row_sum_checked(self):
         with pytest.raises(sv.CptError, match="sums to"):
