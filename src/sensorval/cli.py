@@ -61,9 +61,7 @@ def _refuse_overwrite(args, *outputs: str) -> None:
     taken = {}
     for flag in (*inputs, *outputs):
         path = getattr(args, flag, None)
-        if not path:
-            continue
-        other = taken.setdefault(Path(path).resolve(), flag)
+        other = taken.setdefault(Path(path).resolve(), flag) if path else flag
         if flag in outputs and other != flag:
             raise InputError(f"--{other} and --{flag} name the same file: "
                              f"{path}")

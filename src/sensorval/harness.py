@@ -407,6 +407,7 @@ def compare_selection_policies(
         faulted = inject_fault(row, FaultSpec(target, SEVERE), d)
         policy_rng = np.random.default_rng(rng.integers(2 ** 63))
         pool = sorted(sensors)
+        # one shared child per node: never walk, check or dump it (2**n steps)
         chain = None
         for sensor in reversed([pool.pop(int(policy_rng.integers(len(pool))))
                                 for _ in range(n)]):

@@ -110,9 +110,12 @@ def topological_order(names: Sequence[str],
     parents = {n: set() for n in names}
     if len(parents) < len(names):
         raise NetworkError("duplicate variable names")
+    twice = []                          # edges listed again, in order
     for p, c in edges:
         if p not in parents or c not in parents:
             raise UnknownVariableError(p if p not in parents else c)
+        if p in parents[c]:
+            twice.append((p, c))
         parents[c].add(p)
     order = {}                          # taken so far, in order
     while len(order) < len(parents):
@@ -123,9 +126,8 @@ def topological_order(names: Sequence[str],
         if len(order) == before:
             raise CycleError("edge list contains a directed cycle among "
                              f"{sorted(parents.keys() - order.keys())}")
-    if sum(map(len, parents.values())) < len(edges):
-        p, c = next(e for k, e in enumerate(edges) if e in edges[:k])
-        raise NetworkError(f"edge {p!r} -> {c!r} is listed twice")
+    if twice:
+        raise NetworkError("edge {!r} -> {!r} is listed twice".format(*twice[0]))
     return list(order)
 
 

@@ -144,12 +144,12 @@ def test_enumeration_matches_brute_force_posterior(ref_iso):
 def test_elimination_fallback_scores(ref_iso):
     for findings in ({"t": FAULTY}, {"t": FAULTY, "g": FAULTY, "p": CORRECT}):
         candidates = [s for s in ref_iso.sensors if s not in findings]
-        # the shared network may hold these solves enumerated
-        ref_iso.component_memo.clear()
+        # eliminated solves are memoised, so they go to a network of their
+        # own: the shared one keeps enumerating the reference
+        iso = sv.build_isolation_network(sv.EmbTable(REFERENCE_EMB))
         with patch.object(isolation, "ENUMERATION_LIMIT", 2):
             scores = isolation.candidate_scores(
-                ref_iso, *ref_iso.finding_masks(findings),
-                ref_iso.indices(candidates))
+                iso, *iso.finding_masks(findings), iso.indices(candidates))
         for s, score in zip(candidates, scores):
             assert score == pytest.approx(
                 reference_score(ref_iso, findings, s), abs=1e-9)
