@@ -16,9 +16,11 @@ from typing import Callable, Iterable, Iterator, Mapping
 import numpy as np
 
 from .detection import DetectionCriterion, Discretizer, validate_sensor
+# fault_belief stays a module attribute: perfbench/tracing.py wraps it here.
 from .isolation import (CORRECT, FAULTY, IsolationNet, _branches,
-                        _components, branch_scores, candidate_scores,
-                        fault_belief, noisy_or_root_posteriors)
+                        _components, _indices, branch_scores,
+                        candidate_scores, fault_belief,  # noqa: F401
+                        noisy_or_root_posteriors)
 from .model import BayesNet, EmbTable, _name, remember
 
 
@@ -60,15 +62,23 @@ def select_next_sensor(iso: IsolationNet, findings: Mapping[str, str],
     (``isolation.candidate_scores``).
 
     The choice is a function of the findings and the candidates alone, so it
-    is memoised on the network, keyed by bitmasks.
+    is memoised on the network, keyed by bitmasks (``_select``).
     """
-    candidates = sorted(unvalidated)
-    if not candidates:
+    return _select(iso, *iso.finding_masks(findings), iso.mask(unvalidated))
+
+
+def _select(iso: IsolationNet, faulty: int, correct: int, open_: int) -> str:
+    """``select_next_sensor`` on the (faulty, correct) finding bitmasks and
+    the bitmask ``open_`` of candidates, memoised in ``iso.select_memo``
+    under those three masks. Candidates are scored in name order whatever
+    the order of ``iso.sensors``."""
+    if not open_:
         raise ValueError("no unvalidated sensors left")
-    key = (*iso.finding_masks(findings), iso.mask(candidates))
+    key = (faulty, correct, open_)
     choice = iso.select_memo.get(key)
     if choice is None:
-        choice = candidates[_best(candidate_scores(iso, *key[:2],
+        candidates = sorted(iso.sensors[i] for i in _indices(open_))
+        choice = candidates[_best(candidate_scores(iso, faulty, correct,
                                                    iso.indices(candidates)))]
         remember(iso.select_memo, key, choice)
     return choice
@@ -235,14 +245,24 @@ def prune_single_fault(tree: DecisionTree, emb: EmbTable) -> DecisionTree:
 
 @dataclass(frozen=True)
 class StepRecord:
-    """One validated sensor: the finding, the refreshed beliefs, and quality."""
+    """One validated sensor: the finding, the refreshed beliefs, and quality.
+
+    ``elapsed_ms`` is the library time in this cycle up to this step; the
+    step's own library time is split into ``select_ms`` (online selection,
+    0 on a tree walk), ``detect_ms`` (validating the sensor) and
+    ``belief_ms`` (posteriors, ``pf`` and ``quality``). ``to_json`` leaves
+    the three out.
+    """
 
     step: int
     sensor: str
     status: str
     pf: dict
     quality: float
-    elapsed_ms: float      # library time in this cycle up to this step
+    elapsed_ms: float
+    detect_ms: float
+    select_ms: float
+    belief_ms: float
 
     def to_json(self) -> str:
         return json.dumps({
@@ -270,40 +290,57 @@ def run_anytime_validation(
     ends early terminates the cycle with the last beliefs standing. A tree
     that picks an unknown sensor, or one already validated in this cycle,
     raises ValueError naming it.
+
+    The findings are carried as bitmasks over ``iso.sensors`` (faulty,
+    correct and still open), one bit set per step; each step's ``pf`` is
+    what ``fault_belief`` gives for the findings so far, bit for bit.
     """
-    # elapsed_ms counts library time only: the clock stops at each yield
+    # library time only: the clock stops at each yield
+    clock = time.perf_counter
     busy = 0.0
-    resumed = time.perf_counter()
-    findings: dict[str, str] = {}
-    unvalidated = set(iso.sensors)
+    resumed = clock()
+    faulty = correct = 0
+    open_ = (1 << len(iso.sensors)) - 1
     node = tree.root if tree is not None else None
     step = 0
-    while unvalidated:
-        if tree is not None:
+    while open_:
+        if tree is None:
+            sensor = _select(iso, faulty, correct, open_)
+            selected = clock()
+        else:
             if node is None:
                 return
             sensor = node.sensor
-        else:
-            sensor = select_next_sensor(iso, findings, unvalidated)
-        if sensor not in unvalidated:
-            raise ValueError(
-                f"sensor {sensor!r} was already validated in this cycle"
-                if sensor in findings else f"unknown sensor {sensor!r}")
+            if not open_ & iso.bit.get(sensor, 0):
+                raise ValueError(
+                    f"sensor {sensor!r} was already validated in this cycle"
+                    if sensor in iso.bit else f"unknown sensor {sensor!r}")
+            selected = resumed
         status = validate_sensor(net, d, reading, sensor, criterion)
-        findings[sensor] = FAULTY if status.faulty else CORRECT
-        unvalidated.discard(sensor)
-        pf = fault_belief(iso, findings)
+        detected = clock()
+        b = iso.bit[sensor]
+        if status.faulty:
+            faulty |= b
+        else:
+            correct |= b
+        open_ &= ~b
+        pf = dict(zip(iso.sensors,
+                      noisy_or_root_posteriors(iso, faulty, correct).tolist()))
         q = quality(pf)
         step += 1
-        busy += time.perf_counter() - resumed
+        done = clock()
+        busy += done - resumed
         yield StepRecord(
             step=step,
             sensor=sensor,
-            status=findings[sensor],
+            status=FAULTY if status.faulty else CORRECT,
             pf=pf,
             quality=q,
             elapsed_ms=busy * 1000.0,
+            detect_ms=(detected - selected) * 1000.0,
+            select_ms=(selected - resumed) * 1000.0,
+            belief_ms=(done - detected) * 1000.0,
         )
-        resumed = time.perf_counter()
+        resumed = clock()
         if tree is not None:
             node = node.faulty if status.faulty else node.ok

@@ -57,9 +57,11 @@ class IsolationNet:
     root i causes and ``linked_mask[j]`` those any cause of j causes.
     ``index`` maps each sensor to its position i and ``bit`` to 1 << i;
     sets of sensors are int bitmasks with bit i for ``sensors[i]``.
-    ``select_memo`` belongs to ``anytime.select_next_sensor`` alone, which
-    memoises its choices there; ``anytime.compile_decision_tree`` meets
-    each state once and neither reads nor fills it. ``component_memo``
+    ``select_memo`` holds the choices of online selection: the validation
+    cycle's selector (``anytime._select``) and its wrapper
+    ``anytime.select_next_sensor`` share it, under one key of finding and
+    candidate bitmasks; ``anytime.compile_decision_tree`` meets each state
+    once and neither reads nor fills it. ``component_memo``
     holds every component solve (``_solve``), enumerated or eliminated, of
     the belief update, of ``branch_posteriors`` and of compiling, keyed by
     the component's root mask, its faulty effects in order and the correct
@@ -111,7 +113,10 @@ class IsolationNet:
             raise KeyError(f"unknown sensor {exc.args[0]!r}") from None
 
     def mask(self, sensors: Iterable[str]) -> int:
-        return sum(1 << i for i in self.indices(sensors))
+        mask = 0
+        for i in self.indices(sensors):
+            mask |= 1 << i      # a sensor named twice sets its bit once
+        return mask
 
     def finding_masks(self, findings: Mapping[str, str]) -> tuple[int, int]:
         """(faulty, correct) bitmasks of sensor -> "faulty"/"correct" findings."""
@@ -196,13 +201,20 @@ def build_isolation_network(
 
 
 def _indices(mask: int) -> list[int]:
-    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+    """The set bits of ``mask``, lowest first; one pass per set bit."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 @functools.cache
 def _bit_table(k: int) -> np.ndarray:
     """All 2**k assignments of k binary roots; row r holds the bits of r.
-    Built once per k, on first use, and read-only."""
+    Built once per k, on first use, and read-only. Only enumeration reads
+    it, so 2**k stays within ENUMERATION_LIMIT."""
     table = ((np.arange(2 ** k)[:, None] >> np.arange(k)) & 1).astype(float)
     table.flags.writeable = False
     return table
@@ -366,11 +378,11 @@ def _component_marginals_ve(net, members, effects, w1) -> np.ndarray:
                for i, w in zip(members, w1)]
     for j in effects:
         causes = net.parents[j]
-        s = _bit_table(len(causes)) @ net.log_q[causes, j]
-        # row r of the bit table sets cause k to bit k of r, so in C order
-        # the last cause is the first axis
-        factors.append((tuple(reversed(causes)),
-                        (-np.expm1(s)).reshape((2,) * len(causes))))
+        # axis k is cause k; not from _bit_table, whose cache would keep a
+        # table for every cause count met here, past ENUMERATION_LIMIT
+        s = functools.reduce(np.add.outer,
+                             ([0.0, net.log_q[i, j]] for i in causes))
+        factors.append((tuple(causes), -np.expm1(s)))
     marginals = factor_marginals(factors, members)
     return np.array([marginals[i][1] for i in members])
 

@@ -1,7 +1,9 @@
 import itertools
 import json
 import math
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,20 @@ from sensorval.anytime import TreeNode
 from sensorval.isolation import CORRECT, FAULTY
 from sensorval.benchmarks import tree21_benchmark
 from conftest import FIXTURES, REFERENCE_EMB, random_emb_table
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import workloads  # noqa: E402
+
+
+def reversed_order(sensors):
+    return tuple(reversed(sensors))
+
+
+def network_copy(iso, order=tuple):
+    """A new network equal to ``iso``, memos empty, its sensors in
+    ``order(iso.sensors)``."""
+    return sv.IsolationNet(tuple(order(iso.sensors)), iso.parents_of,
+                           iso.params, iso.priors)
 
 
 class TestBinaryEntropy:
@@ -84,6 +100,12 @@ class TestSelectNextSensor:
     def test_single_candidate(self, ref_iso):
         assert sv.select_next_sensor(ref_iso, {}, {"p"}) == "p"
 
+    def test_repeated_candidate_keys_its_own_pool(self):
+        iso = sv.build_isolation_network(sv.EmbTable(REFERENCE_EMB))
+        assert sv.select_next_sensor(iso, {}, ["p", "p"]) == "p"
+        # p's bit counted twice would be t's bit, and t would get p
+        assert sv.select_next_sensor(iso, {}, {"t"}) == "t"
+
     def test_reference_first_pick_is_exhaustive_argmin(self, ref_iso):
         values = {s: sv.conditional_average_entropy(ref_iso, {}, s)
                   for s in ref_iso.sensors}
@@ -91,21 +113,25 @@ class TestSelectNextSensor:
         assert sv.select_next_sensor(ref_iso, {}, set(ref_iso.sensors)) == want
         assert want == "t"
 
-    def test_tie_breaks_lexicographically(self):
-        iso = sv.build_isolation_network(sv.EmbTable(
-            {"b": {"b", "z"}, "z": {"b", "z"}}))
+    @pytest.mark.parametrize("order", [sorted, reversed_order])
+    def test_tie_breaks_lexicographically(self, order):
+        iso = network_copy(sv.build_isolation_network(sv.EmbTable(
+            {"b": {"b", "z"}, "z": {"b", "z"}})), order)
         assert sv.select_next_sensor(iso, {}, {"z", "b"}) == "b"
 
-    def test_symmetric_pair_ties_by_name(self, ref_iso):
+    @pytest.mark.parametrize("order", [sorted, reversed_order])
+    def test_symmetric_pair_ties_by_name(self, ref_iso, order):
         # a and g are symmetric in the reference net; their scores differ
-        # only by rounding, so the name decides
+        # only by rounding, so the name decides, whatever the order of the
+        # network's sensors
+        iso = network_copy(ref_iso, order)
         for findings in ({"p": CORRECT, "t": FAULTY},
                          {"m": CORRECT, "p": CORRECT, "t": CORRECT}):
-            rest = set(ref_iso.sensors) - set(findings)
-            a = sv.conditional_average_entropy(ref_iso, findings, "a")
-            g = sv.conditional_average_entropy(ref_iso, findings, "g")
+            rest = set(iso.sensors) - set(findings)
+            a = sv.conditional_average_entropy(iso, findings, "a")
+            g = sv.conditional_average_entropy(iso, findings, "g")
             assert a == pytest.approx(g, abs=1e-12)
-            assert sv.select_next_sensor(ref_iso, findings, rest) == "a"
+            assert sv.select_next_sensor(iso, findings, rest) == "a"
 
     def test_empty_pool(self, ref_iso):
         with pytest.raises(ValueError):
@@ -317,9 +343,13 @@ class TestComponentMemo:
         monkeypatch.setattr(isolation, "_component_marginals_ve",
                             lambda *args: solves.append(args)
                             or eliminate(*args))
+        isolation._bit_table.cache_clear()
         iso, run = solve()
         eliminated = run()
         assert solves, "the default limit did not reach elimination"
+        # no component here is small enough to enumerate, and elimination
+        # builds its factors without the cached bit tables
+        assert isolation._bit_table.cache_info().currsize == 0
         eliminations = len(solves)
         # a repeat is served from the memo, with no second elimination
         again = run()
@@ -331,6 +361,7 @@ class TestComponentMemo:
         assert len(solves) == eliminations
         for got, want in zip(eliminated, enumerated):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+        isolation._bit_table.cache_clear()     # the 17-root table, 17.8 MB
 
     def test_cap_clears_the_branch_memo(self, monkeypatch):
         monkeypatch.setattr(model, "MEMO_CAP", 3)
@@ -669,6 +700,29 @@ class TestRunAnytimeValidation:
         assert len(records) == 5
         assert records[-1].elapsed_ms < 100.0
 
+    @pytest.mark.parametrize("tree_file", [None, "reference_full.tree.json"])
+    def test_step_layer_times(self, ref, tree_file):
+        crit = sv.DetectionCriterion("sigma", 3.0)
+        tree = tree_file and sv.tree_from_json(
+            (FIXTURES / tree_file).read_text())
+        records = list(sv.run_anytime_validation(
+            ref.net, ref.discretizer, ref.iso, tree, ref.test.row(22), crit))
+        assert len(records) == 5
+        before = 0.0
+        for r in records:
+            layers = (r.detect_ms, r.select_ms, r.belief_ms)
+            assert min(layers) >= 0.0
+            if tree is not None:
+                assert r.select_ms == 0.0
+            # the layers count library time only; up to float rounding
+            # they add up to no more than the step's elapsed time
+            assert sum(layers) <= r.elapsed_ms - before + 1e-9
+            before = r.elapsed_ms
+        assert sum(r.detect_ms for r in records) > 0.0
+        assert sum(r.belief_ms for r in records) > 0.0
+        if tree is None:
+            assert sum(r.select_ms for r in records) > 0.0
+
     def test_tree_traversal_matches_online(self, ref):
         crit = sv.DetectionCriterion("sigma", 3.0)
         tree = sv.compile_decision_tree(ref.iso)
@@ -723,3 +777,77 @@ class TestRunAnytimeValidation:
         assert doc["step"] == 1
         assert doc["status"] in ("correct", "faulty")
         assert set(doc["pf"]) == set(ref.iso.sensors)
+
+
+def reference_readings(ref):
+    """The 440 readings of ``fixtures/reference_readings.csv``: each row,
+    then the row with one severe and one mild fault injected per sensor."""
+    data = sv.Dataset.from_csv(
+        (FIXTURES / "reference_readings.csv").read_text())
+    specs = [sv.FaultSpec(s, severity) for s in ref.iso.sensors
+             for severity in ("severe", "mild")]
+    for i in range(len(data)):
+        row = data.row(i)
+        yield row
+        for spec in specs:
+            yield sv.inject_fault(row, spec, ref.discretizer)
+
+
+class TestCycleMatchesPublicFunctions:
+    """At every step of a cycle, online or tree-guided, ``pf`` is what
+    ``fault_belief`` gives for the findings so far, bit for bit, and an
+    online pick is what ``select_next_sensor`` picks. The references run
+    on a second network whose memos the cycle never touches."""
+
+    CRITERION = sv.DetectionCriterion("pvalue", 0.01)
+
+    def check(self, bench, iso, reference, tree, readings):
+        cycles = []
+        for reading in readings:
+            findings, unvalidated = {}, set(iso.sensors)
+            records = list(sv.run_anytime_validation(
+                bench.net, bench.discretizer, iso, tree, reading,
+                self.CRITERION))
+            assert records
+            for r in records:
+                if tree is None:
+                    assert r.sensor == sv.select_next_sensor(
+                        reference, findings, unvalidated), findings
+                findings[r.sensor] = r.status
+                unvalidated.discard(r.sensor)
+                want = sv.fault_belief(reference, findings)
+                assert list(r.pf.items()) == list(want.items()), findings
+                assert r.quality == sv.quality(want)
+            cycles.append([(r.sensor, r.status) for r in records])
+        return cycles
+
+    @pytest.mark.parametrize("tree_file", [None, "reference_full.tree.json",
+                                           "reference_pruned.tree.json"])
+    def test_reference_readings(self, ref, tree_file):
+        tree = tree_file and sv.tree_from_json(
+            (FIXTURES / tree_file).read_text())
+        cycles = self.check(ref, network_copy(ref.iso), network_copy(ref.iso),
+                            tree, reference_readings(ref))
+        assert len(cycles) == 440
+        assert any(status == FAULTY for c in cycles for _, status in c)
+
+    @pytest.mark.parametrize("tree_file", [None, "tree21_pvalue001.tree.json"])
+    def test_tree21_readings(self, tree21, tree_file):
+        tree = tree_file and sv.tree_from_json(
+            (FIXTURES / tree_file).read_text())
+        sample = workloads.tree21_readings(tree21, 0, 1)[::4]
+        cycles = self.check(tree21, network_copy(tree21.iso),
+                            network_copy(tree21.iso), tree, sample)
+        assert len(cycles) == 21
+        assert any(status == FAULTY for c in cycles for _, status in c)
+
+    def test_unsorted_network_orders_as_the_sorted_one(self, ref):
+        # a and g tie in the reference net; the cycle on a network whose
+        # sensors run backwards must still pick by name
+        backwards = self.check(ref, network_copy(ref.iso, reversed_order),
+                               network_copy(ref.iso, reversed_order), None,
+                               reference_readings(ref))
+        forwards = self.check(ref, network_copy(ref.iso),
+                              network_copy(ref.iso), None,
+                              reference_readings(ref))
+        assert backwards == forwards

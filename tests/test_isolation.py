@@ -51,6 +51,17 @@ class TestBuild:
                 sv.build_isolation_network(sv.EmbTable(REFERENCE_EMB),
                                            link_overrides={("t", "g"): bad})
 
+    def test_indices_lists_set_bits_lowest_first(self):
+        rng = np.random.default_rng(3)
+        masks = [0, 1, 1 << 40, *(int(m) for m in rng.integers(0, 2 ** 62,
+                                                               200))]
+        for mask in masks:
+            assert isolation._indices(mask) == [
+                i for i in range(mask.bit_length()) if mask >> i & 1]
+
+    def test_mask_sets_each_bit_once(self, ref_iso):
+        assert ref_iso.mask(["p", "p", "t"]) == ref_iso.mask(["t", "p"])
+
     def test_expansion_matches_noisy_or_row(self, ref_iso):
         net = ref_iso.to_bayes_net()
         for s in ref_iso.sensors:
