@@ -17,8 +17,7 @@ import numpy as np
 
 from .detection import DetectionCriterion, Discretizer, validate_sensor
 # fault_belief stays a module attribute: perfbench/tracing.py wraps it here.
-from .isolation import (CORRECT, FAULTY, IsolationNet, _branches,
-                        _components, _indices, branch_scores,
+from .isolation import (CORRECT, FAULTY, IsolationNet, _indices,
                         candidate_scores, fault_belief,  # noqa: F401
                         noisy_or_root_posteriors)
 from .model import BayesNet, EmbTable, _name, remember
@@ -71,23 +70,20 @@ def _select(iso: IsolationNet, faulty: int, correct: int, open_: int) -> str:
     """``select_next_sensor`` on the (faulty, correct) finding bitmasks and
     the bitmask ``open_`` of candidates, memoised in ``iso.select_memo``
     under those three masks. Candidates are scored in name order whatever
-    the order of ``iso.sensors``."""
+    the order of ``iso.sensors``, and the first within TIE_TOLERANCE of
+    the minimum is chosen, so ties break lexicographically."""
     if not open_:
         raise ValueError("no unvalidated sensors left")
     key = (faulty, correct, open_)
     choice = iso.select_memo.get(key)
     if choice is None:
         candidates = sorted(iso.sensors[i] for i in _indices(open_))
-        choice = candidates[_best(candidate_scores(iso, faulty, correct,
-                                                   iso.indices(candidates)))]
+        scores = candidate_scores(iso, faulty, correct,
+                                  iso.indices(candidates))
+        choice = candidates[int(np.flatnonzero(
+            scores - scores.min() <= TIE_TOLERANCE)[0])]
         remember(iso.select_memo, key, choice)
     return choice
-
-
-def _best(scores) -> int:
-    """Position of the first score within TIE_TOLERANCE of the minimum;
-    candidates come in name order, so ties break lexicographically."""
-    return int(np.flatnonzero(scores - scores.min() <= TIE_TOLERANCE)[0])
 
 
 def quality(pf: Mapping[str, float]) -> float:
@@ -204,30 +200,23 @@ def compile_decision_tree(iso: IsolationNet,
     """Precompile the selection policy into a tree: each node holds the
     sensor ``select_next_sensor`` picks given the findings above it.
 
-    Each node is scored once, from its root posteriors, which its parent's
-    scoring solved as the branch of the chosen sensor; the branch rows then
-    become the children's. With ``emb`` given, branches inconsistent with
-    the single-fault model are never expanded; the result is identical to
-    compiling the full tree and then pruning it, but stays buildable for
-    larger sensor sets.
+    Every node is picked by the cycle's own selector (``_select``), so the
+    compile leaves one ``iso.select_memo`` entry per node, under the key
+    the validation cycle reads, and a warm memo cannot change the tree.
+    With ``emb`` given, branches inconsistent with the single-fault model
+    are never expanded; the result is identical to compiling the full tree
+    and then pruning it, but stays buildable for larger sensor sets.
     """
-    names = sorted(iso.sensors)
+    every = (1 << len(iso.sensors)) - 1
 
-    def pick(faulty, correct, state):
-        known = faulty | correct
-        candidates = [s for s in names if not iso.bit[s] & known]
-        if not candidates:
+    def pick(faulty, correct, _context):
+        open_ = every & ~(faulty | correct)
+        if not open_:
             return None
-        if len(candidates) == 1:        # nothing to choose, here or below
-            return candidates[0], None, None
-        rows = _branches(iso, correct, iso.indices(candidates),
-                         _components(iso, faulty), state)
-        i = _best(branch_scores(rows))
-        return candidates[i], rows[1, i], rows[0, i]
+        return _select(iso, faulty, correct, open_), None, None
 
     blankets = None if emb is None else _blanket_masks(emb, iso.bit)
-    return DecisionTree(_grow(pick, iso.bit, blankets, 0, 0,
-                              noisy_or_root_posteriors(iso, 0, 0)))
+    return DecisionTree(_grow(pick, iso.bit, blankets, 0, 0, None))
 
 
 def prune_single_fault(tree: DecisionTree, emb: EmbTable) -> DecisionTree:

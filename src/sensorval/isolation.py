@@ -7,7 +7,7 @@ posteriors form the fault-probability vector refined step by step.
 
 Each network builds, once, the arrays that the exact solver reads. One
 solver (``_solve``) answers every question about a component that faulty
-findings couple, for the belief update, for selection and for compiling,
+findings couple, for the belief update and for selection, online or compiled,
 and memoises each answer on the network. Findings are passed to the
 solver as bitmasks over the sensors.
 """
@@ -46,9 +46,11 @@ class IsolationNet:
 
     ``sensors``, ``parents_of`` (apparent sensor -> tuple of root
     sensors), ``params`` and ``priors`` (sensor -> prior fault probability)
-    specify it. The arrays the exact solver reads are built from them here,
-    indexed by position in ``sensors``, so the four must not be mutated
-    afterwards; build a new network instead.
+    specify it; every link strength must lie in (0, 1] and every prior in
+    (0, 1), or ValueError names the link or the sensor. The arrays the
+    exact solver reads are built from them here, indexed by position in
+    ``sensors``, so the four must not be mutated afterwards; build a new
+    network instead.
 
     ``log_q[i, j]`` is log(1 - c_ij) for a link i -> j and 0 where there is
     none; ``ok_prior[i]`` is 1 - prior and ``log_odds[i]`` is
@@ -57,13 +59,13 @@ class IsolationNet:
     root i causes and ``linked_mask[j]`` those any cause of j causes.
     ``index`` maps each sensor to its position i and ``bit`` to 1 << i;
     sets of sensors are int bitmasks with bit i for ``sensors[i]``.
-    ``select_memo`` holds the choices of online selection: the validation
-    cycle's selector (``anytime._select``) and its wrapper
-    ``anytime.select_next_sensor`` share it, under one key of finding and
-    candidate bitmasks; ``anytime.compile_decision_tree`` meets each state
-    once and neither reads nor fills it. ``component_memo``
+    ``select_memo`` holds the choices of selection: the validation cycle's
+    selector (``anytime._select``), its wrapper
+    ``anytime.select_next_sensor`` and ``anytime.compile_decision_tree``,
+    which picks every node through ``_select``, share it, under one key of
+    finding and candidate bitmasks. ``component_memo``
     holds every component solve (``_solve``), enumerated or eliminated, of
-    the belief update, of ``branch_posteriors`` and of compiling, keyed by
+    the belief update and of ``branch_posteriors``, keyed by
     the component's root mask, its faulty effects in order and the correct
     findings among the apparent faults its roots cause. Both store through
     ``model.remember``, which caps each at ``model.MEMO_CAP`` entries.
@@ -82,6 +84,11 @@ class IsolationNet:
         self.priors = priors
         self.index = index = {s: i for i, s in enumerate(sensors)}
         self.bit = {s: 1 << i for s, i in index.items()}
+        for s in sensors:
+            if not 0.0 < priors[s] < 1.0:     # NaN fails too
+                raise ValueError(
+                    f"prior of sensor {s!r} must lie in (0, 1), "
+                    f"not {priors[s]!r}")
         self.prior = np.array([priors[s] for s in sensors])
         self.ok_prior = 1.0 - self.prior
         self.log_odds = np.log(self.prior) - np.log1p(-self.prior)
@@ -93,6 +100,9 @@ class IsolationNet:
             causes = [index[i] for i in parents_of[j]]
             for i, cause in zip(causes, parents_of[j]):
                 c = params.c(cause, j)
+                if not 0.0 < c <= 1.0:
+                    raise ValueError(f"strength of link {cause!r} -> {j!r} "
+                                     f"must lie in (0, 1], not {c!r}")
                 # a certain link (c = 1) keeps a finite floor
                 self.log_q[i, index[j]] = (math.log1p(-c) if c < 1.0
                                            else math.log(_EVIDENCE_EPS))
@@ -238,46 +248,26 @@ def branch_posteriors(net: IsolationNet, faulty: int, correct: int,
 
     ``candidates`` are sensor indices without a finding. Row [0, i] holds
     the posteriors once ``candidates[i]`` is found correct, row [1, i] once
-    it is found faulty (``_branches``).
-    """
-    for c in candidates:
-        if (faulty | correct) >> c & 1:
-            raise ValueError(f"{net.sensors[c]!r} already has a finding")
-    components = _components(net, faulty)
-    return _branches(net, correct, candidates, components,
-                     _belief(net, correct, components))
-
-
-def _belief(net: IsolationNet, correct: int, components: list) -> np.ndarray:
-    """``noisy_or_root_posteriors`` given the faulty findings' components."""
-    w1 = net.prior * np.exp(net.log_q[:, _indices(correct)].sum(axis=1))
-    post = w1 / (w1 + net.ok_prior)
-    for roots, effects, linked in components:
-        members, solved = _solve(net, roots, effects, correct & linked)
-        post[members] = solved
-    return post
-
-
-def _branches(net: IsolationNet, correct: int, candidates: list[int],
-              components: list, state: np.ndarray) -> np.ndarray:
-    """``branch_posteriors`` from the faulty findings' ``_components`` and
-    their root posteriors ``state``, which a compile has from the parent
-    node.
+    it is found faulty.
 
     A correct finding on c adds ``log_q[:, c]`` to the roots' active
     log-weights: the roots in no component take it in closed form, every
     candidate at once, and a component is solved again only for the
     candidates among the apparent faults its roots cause (its ``linked``
-    mask); the others keep the state's solve. A faulty finding on c changes
+    mask); the others keep the current solve. A faulty finding on c changes
     only the component that c's parents merge into (``_merge``), so every
-    other root keeps its ``state`` posterior.
+    other root keeps its current posterior.
     """
+    for c in candidates:
+        if (faulty | correct) >> c & 1:
+            raise ValueError(f"{net.sensors[c]!r} already has a finding")
+    components = _components(net, faulty)
     w1 = net.prior[:, None] * np.exp(
         net.log_q[:, _indices(correct)].sum(axis=1)[:, None]
         + net.log_q[:, candidates])
     out = np.empty((2, len(candidates), len(net.prior)))
     out[0] = (w1 / (w1 + net.ok_prior[:, None])).T
-    out[1] = state
+    out[1] = _belief(net, correct, components)
     for roots, effects, linked in components:
         members, solved = _solve(net, roots, effects, correct & linked)
         out[0][:, members] = solved
@@ -292,16 +282,22 @@ def _branches(net: IsolationNet, correct: int, candidates: list[int],
     return out
 
 
+def _belief(net: IsolationNet, correct: int, components: list) -> np.ndarray:
+    """``noisy_or_root_posteriors`` given the faulty findings' components."""
+    w1 = net.prior * np.exp(net.log_q[:, _indices(correct)].sum(axis=1))
+    post = w1 / (w1 + net.ok_prior)
+    for roots, effects, linked in components:
+        members, solved = _solve(net, roots, effects, correct & linked)
+        post[members] = solved
+    return post
+
+
 def candidate_scores(net: IsolationNet, faulty: int, correct: int,
                      candidates: list[int]) -> np.ndarray:
     """Conditional average entropy of each candidate: the mean binary
     entropy of the root posteriors after a correct finding plus that after
     a faulty one. Smaller means the validation is more informative."""
-    return branch_scores(branch_posteriors(net, faulty, correct, candidates))
-
-
-def branch_scores(p: np.ndarray) -> np.ndarray:
-    """The candidate scores of ``branch_posteriors`` rows ``p``."""
+    p = branch_posteriors(net, faulty, correct, candidates)
     q = 1.0 - p
     with np.errstate(divide="ignore", invalid="ignore"):
         h = -(p * np.log2(p) + q * np.log2(q))

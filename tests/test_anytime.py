@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import sensorval as sv
-from sensorval import isolation, model
+from sensorval import anytime, isolation, model
 from sensorval.anytime import TreeNode
 from sensorval.isolation import CORRECT, FAULTY
 from sensorval.benchmarks import tree21_benchmark
@@ -441,12 +441,15 @@ class TestCompileTree:
 
     def test_full_tree_reproduces_online_selection(self, ref_iso):
         tree = sv.compile_decision_tree(ref_iso)
+        # compile fills ref_iso's memo, so selection runs on a network
+        # whose memos hold none of compile's choices
+        cold = network_copy(ref_iso)
         for bits in itertools.product((FAULTY, CORRECT), repeat=5):
             node = tree.root
             findings = {}
             unvalidated = set(ref_iso.sensors)
             for status in bits:
-                want = sv.select_next_sensor(ref_iso, findings, unvalidated)
+                want = sv.select_next_sensor(cold, findings, unvalidated)
                 assert node.sensor == want
                 findings[node.sensor] = status
                 unvalidated.discard(node.sensor)
@@ -517,9 +520,10 @@ def consistent_by_sets(findings, emb):
 
 
 class TestCompileEqualsSelection:
-    """Compile scores each node once, from the root posteriors its parent's
-    scoring solved; every node must still hold what ``select_next_sensor``
-    picks on a network with empty memos given that node's findings."""
+    """Compile picks each node through the cycle's memoised selector and
+    leaves its choices in the network's memo; every node must still hold
+    what ``select_next_sensor`` picks on a network with empty memos given
+    that node's findings."""
 
     @staticmethod
     def assert_each_node_selects(tree, build):
@@ -583,6 +587,29 @@ class TestGoldenTrees:
         tree = sv.compile_decision_tree(bench.iso, bench.emb)
         assert tree.node_count() == 249
         assert sv.tree_to_json(tree) == (
+            FIXTURES / "tree21_pvalue001.tree.json").read_text()
+
+    def test_warm_network_compiles_the_golden_trees(self, ref, tree21):
+        # the memo compile fills is the one online selection fills: a warm
+        # memo, with choices for the cycle's states and for partial pools,
+        # must never change a tree
+        net = sv.load_network((FIXTURES / "reference_net.json").read_text())
+        emb = sv.emb_table(net)
+        iso = sv.build_isolation_network(emb)
+        warm_up(ref, iso, [(f, pool) for f, r in reference_states()
+                           for pool in ({max(r)}, r - {min(r)})],
+                reference_readings(ref))
+        assert sv.tree_to_json(sv.compile_decision_tree(iso)) == (
+            FIXTURES / "reference_full.tree.json").read_text()
+        assert sv.tree_to_json(sv.compile_decision_tree(iso, emb)) == (
+            FIXTURES / "reference_pruned.tree.json").read_text()
+        iso = tree21_network(tree21)
+        states = [({}, set(iso.sensors))] + random_tree21_states(
+            iso.sensors)[:60]
+        warm_up(tree21, iso, [(f, pool) for f, r in states
+                              for pool in ({max(r)}, set(sorted(r)[::2]))],
+                workloads.tree21_readings(tree21, 0, 1)[::4])
+        assert sv.tree_to_json(sv.compile_decision_tree(iso, tree21.emb)) == (
             FIXTURES / "tree21_pvalue001.tree.json").read_text()
 
     def test_pruning_the_stored_full_tree(self):
@@ -791,6 +818,41 @@ def reference_readings(ref):
         yield row
         for spec in specs:
             yield sv.inject_fault(row, spec, ref.discretizer)
+
+
+def warm_up(bench, iso, states, readings):
+    """Fill ``iso.select_memo`` with ``select_next_sensor`` on each
+    (findings, candidates) state, then with online cycles over
+    ``readings``."""
+    for findings, pool in states:
+        sv.select_next_sensor(iso, findings, pool)
+    criterion = sv.DetectionCriterion("pvalue", 0.01)
+    for reading in readings:
+        for _ in sv.run_anytime_validation(bench.net, bench.discretizer, iso,
+                                           None, reading, criterion):
+            pass
+    assert iso.select_memo
+
+
+class TestCompileFillsSelectionMemo:
+    def test_online_cycles_after_compile_score_nothing(self, ref,
+                                                       monkeypatch):
+        iso = network_copy(ref.iso)
+        assert sv.compile_decision_tree(iso).node_count() == 31
+        assert len(iso.select_memo) == 31
+        calls = []
+        scores = anytime.candidate_scores
+        monkeypatch.setattr(anytime, "candidate_scores",
+                            lambda *args: calls.append(args) or scores(*args))
+        criterion = sv.DetectionCriterion("pvalue", 0.01)
+        cycles = 0
+        for reading in reference_readings(ref):
+            records = list(sv.run_anytime_validation(
+                ref.net, ref.discretizer, iso, None, reading, criterion))
+            assert records
+            cycles += 1
+        assert cycles == 440
+        assert calls == []
 
 
 class TestCycleMatchesPublicFunctions:

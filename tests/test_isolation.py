@@ -34,6 +34,26 @@ class TestBuild:
         with pytest.raises(ValueError):
             sv.build_isolation_network(emb, prior=0.0)
 
+    @pytest.mark.parametrize("c", [1.5, float("nan"), -0.5, 0.0,
+                                   float("inf")])
+    def test_direct_network_refuses_link_strength(self, ref_iso, c):
+        strengths = {**ref_iso.params.strengths, ("t", "g"): c}
+        with pytest.raises(ValueError, match="link 't' -> 'g'"):
+            sv.IsolationNet(ref_iso.sensors, ref_iso.parents_of,
+                            sv.NoisyOrParams(strengths), ref_iso.priors)
+
+    @pytest.mark.parametrize("prior", [float("nan"), 0.0, 1.0, -0.1, 1.5])
+    def test_direct_network_refuses_prior(self, ref_iso, prior):
+        with pytest.raises(ValueError, match="sensor 'p'"):
+            sv.IsolationNet(ref_iso.sensors, ref_iso.parents_of,
+                            ref_iso.params, {**ref_iso.priors, "p": prior})
+
+    def test_direct_network_takes_a_certain_link(self, ref_iso):
+        strengths = {**ref_iso.params.strengths, ("t", "g"): 1.0}
+        iso = sv.IsolationNet(ref_iso.sensors, ref_iso.parents_of,
+                              sv.NoisyOrParams(strengths), ref_iso.priors)
+        assert np.isfinite(iso.log_q).all()
+
     def test_asymmetric_table_rejected(self):
         with pytest.raises(ValueError, match="asymmetric"):
             sv.build_isolation_network({"a": {"a", "b"}, "b": {"b"}})
