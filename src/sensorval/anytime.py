@@ -19,7 +19,7 @@ from .detection import DetectionCriterion, Discretizer, validate_sensor
 # fault_belief stays a module attribute: perfbench/tracing.py wraps it here.
 from .isolation import (CORRECT, FAULTY, IsolationNet, _indices,
                         candidate_scores, fault_belief,  # noqa: F401
-                        noisy_or_root_posteriors)
+                        _finding_masks, noisy_or_root_posteriors)
 from .model import BayesNet, EmbTable, _name, remember
 
 
@@ -154,11 +154,10 @@ def tree_from_json(document: str) -> DecisionTree:
 def single_fault_consistent(outcomes: Mapping[str, str], emb: EmbTable) -> bool:
     """True when the observed outcomes fit the ideal single-fault model:
     either nothing is faulty, or some sensor's EMB covers every faulty
-    observation without touching a correct one."""
+    observation without touching a correct one. A status other than
+    faulty or correct raises ValueError, as in ``fault_belief``."""
     bit = {s: 1 << i for i, s in enumerate(outcomes)}
-    faulty = sum(bit[s] for s, st in outcomes.items() if st == FAULTY)
-    correct = sum(bit[s] for s, st in outcomes.items() if st == CORRECT)
-    return _explained(faulty, correct, _blanket_masks(emb, bit))
+    return _explained(*_finding_masks(outcomes, bit), _blanket_masks(emb, bit))
 
 
 def _blanket_masks(emb: EmbTable, bit: Mapping[str, int]) -> list[int]:

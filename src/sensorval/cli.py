@@ -95,6 +95,8 @@ def _load_model(args):
     missing = [s for s in net.names() if s not in disc.bounds]
     if missing:
         raise InputError(f"discretizer is missing sensors {missing}")
+    for s in net.names():   # refuses state labels that are not interval codes
+        detection.blanket_kernel(net, s, disc.bins)
     return net, disc
 
 

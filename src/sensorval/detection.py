@@ -12,9 +12,9 @@ A criterion turns a prediction into a verdict rule, a function of the
 sensor's reading alone (``DetectionCriterion.rule``): sigma keeps the mean
 and k * sigma; pvalue the mean and the sorted distinct distances of the
 midpoints from it, each with a verdict slot; tau the verdict of each
-interval. Each kernel memoises one entry per blanket state
-(``model.remember``): the read-only prediction and the rules built on it,
-keyed by criterion and the sensor's bounds. One kernel method goes from
+interval. Each kernel memoises the rule (``model.remember``) under the
+blanket state, the criterion and the sensor's bounds; a miss predicts
+afresh and builds the rule from that. One kernel method goes from
 the blanket's interval codes and the reading to a verdict
 (``BlanketKernel.faulty``): ``validate_sensor`` codes the blanket of each
 reading it is given, while the link calibration codes each training row
@@ -23,9 +23,9 @@ validations they feed. Most blanket states repeat,
 so most verdicts are one comparison or one bisection. The pvalue slots
 fill on first need: in a calibration a third of the validations meet a
 new state, where one verdict is needed and filling every slot would cost
-several. With 10 intervals an entry takes about 0.45 kB (the prediction,
-the rule table and one key) plus about 0.35 kB for a sigma rule and
-0.55–0.6 kB for a tau or pvalue rule.
+several. With 10 intervals an entry, its key and its share of the memo
+table included, takes about 0.5 kB for a sigma rule, 0.7 kB for a tau
+rule and 1.0 kB for a pvalue rule, which keeps the prediction.
 """
 
 from __future__ import annotations
@@ -289,7 +289,7 @@ class BlanketKernel:
         self.slabs = np.concatenate(slabs)
         self.base = np.array(base, dtype=np.intp)
         self.weights = weights
-        self.memo: dict[tuple, tuple[np.ndarray, dict]] = {}
+        self.memo: dict[tuple, Callable[[float], bool]] = {}
 
     def codes(self, d: Discretizer, reading: Mapping[str, float]) -> tuple:
         """Interval codes of the blanket readings, in ``blanket`` order."""
@@ -306,13 +306,19 @@ class BlanketKernel:
             codes.append(d.index(b, x))
         return tuple(codes)
 
-    def probabilities(self, codes: np.ndarray) -> np.ndarray:
-        """Normalized P(sensor | blanket codes).
+    def probabilities(self, net: BayesNet, codes: tuple) -> np.ndarray:
+        """Normalized P(sensor | blanket), a function of the blanket's
+        interval ``codes`` (in ``blanket`` order), as a new array: the
+        closed form, or the general engine where ``general`` is set.
 
         Raises InconsistentEvidenceError when the blanket codes have
-        probability zero given the sensor's family.
+        probability zero.
         """
-        p = self.slabs[self.base + self.weights @ codes].prod(axis=0)
+        if self.general:
+            evidence = dict(zip(self.blanket, map(str, codes)))
+            return posterior_marginal(net, evidence, self.sensor).probabilities
+        rows = self.base + self.weights @ np.array(codes, dtype=np.intp)
+        p = self.slabs[rows].prod(axis=0)
         z = p.sum()
         if z <= _EVIDENCE_EPS:
             evidence = dict(zip(self.blanket, map(str, codes)))
@@ -321,45 +327,27 @@ class BlanketKernel:
                 f"has probability zero")
         return p / z
 
-    def state(self, net: BayesNet, codes: tuple) -> tuple[np.ndarray, dict]:
-        """The memo entry of the blanket's interval ``codes`` (in
-        ``blanket`` order): the normalized P(sensor | blanket), a function
-        of those codes, and the verdict rules built on it so far, keyed by
-        criterion and the sensor's bounds. The array is read-only, because
-        every caller with those codes gets it."""
-        entry = self.memo.get(codes)
-        if entry is None:
-            if self.general:
-                evidence = dict(zip(self.blanket, map(str, codes)))
-                p = posterior_marginal(net, evidence, self.sensor).probabilities
-            else:
-                p = self.probabilities(np.array(codes, dtype=np.intp))
-            p.setflags(write=False)
-            entry = (p, {})
-            remember(self.memo, codes, entry)
-        return entry
-
     def predict(self, net: BayesNet, d: Discretizer,
                 reading: Mapping[str, float]) -> np.ndarray:
-        """Normalized P(sensor | blanket readings), memoised (read-only)."""
-        return self.state(net, self.codes(d, reading))[0]
+        """Normalized P(sensor | blanket readings), as a new array."""
+        return self.probabilities(net, self.codes(d, reading))
 
     def faulty(self, net: BayesNet, d: Discretizer, codes: tuple, x: float,
                criterion: DetectionCriterion) -> bool:
         """The verdict on the sensor's reading x given the blanket's
-        interval ``codes``: the rule of the codes' memo entry for the
-        criterion, built on first need. ``validate_sensor`` and the link
-        calibration, which codes each reading once, both come here."""
-        # a memo hit, as most validations are, costs no call of ``state``
-        entry = self.memo.get(codes)
-        p, rules = entry if entry is not None else self.state(net, codes)
+        interval ``codes``: the memoised rule of those codes, the criterion
+        and the sensor's bounds, built on first need. ``validate_sensor``
+        and the link calibration, which codes each reading once, both come
+        here."""
         # the criterion's fields, not the criterion: its generated hash would
         # be one more Python call per validation
         lo, hi = d.bounds[self.sensor]
-        key = (criterion.kind, criterion.parameter, lo, hi)
-        rule = rules.get(key)
+        key = (codes, criterion.kind, criterion.parameter, lo, hi)
+        rule = self.memo.get(key)
         if rule is None:
-            rule = rules[key] = criterion.rule(p, d, self.sensor)
+            rule = criterion.rule(self.probabilities(net, codes), d,
+                                  self.sensor)
+            remember(self.memo, key, rule)
         return rule(x)
 
 

@@ -41,6 +41,24 @@ def apparent_name(sensor: str) -> str:
     return f"A_{sensor}"
 
 
+def _finding_masks(findings: Mapping[str, str],
+                   bit: Mapping[str, int]) -> tuple[int, int]:
+    """(faulty, correct) bitmasks over ``bit`` of sensor -> "faulty"/"correct"
+    findings."""
+    faulty = correct = 0
+    for sensor, status in findings.items():
+        b = bit.get(sensor)
+        if b is None:
+            raise KeyError(f"finding for unknown sensor {sensor!r}")
+        if status == FAULTY:
+            faulty |= b
+        elif status == CORRECT:
+            correct |= b
+        else:
+            raise ValueError(f"finding for {sensor!r} must be faulty/correct")
+    return faulty, correct
+
+
 class IsolationNet:
     """The bipartite fault-isolation network derived from an EMB table.
 
@@ -130,18 +148,7 @@ class IsolationNet:
 
     def finding_masks(self, findings: Mapping[str, str]) -> tuple[int, int]:
         """(faulty, correct) bitmasks of sensor -> "faulty"/"correct" findings."""
-        faulty = correct = 0
-        for sensor, status in findings.items():
-            bit = self.bit.get(sensor)
-            if bit is None:
-                raise KeyError(f"finding for unknown sensor {sensor!r}")
-            if status == FAULTY:
-                faulty |= bit
-            elif status == CORRECT:
-                correct |= bit
-            else:
-                raise ValueError(f"finding for {sensor!r} must be faulty/correct")
-        return faulty, correct
+        return _finding_masks(findings, self.bit)
 
     def to_bayes_net(self) -> BayesNet:
         """Expand the noisy-OR conditionals into an explicit BayesNet."""

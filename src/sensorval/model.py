@@ -25,7 +25,7 @@ MEMO_CAP = 1 << 10
 def remember(memo: dict, key, value) -> None:
     """Store ``value`` in ``memo``, clearing the memo first once it holds
     ``MEMO_CAP`` entries. Every memo of the library stores through here: a
-    blanket kernel's predictions and an isolation network's choices and
+    blanket kernel's verdict rules and an isolation network's choices and
     component solves."""
     if len(memo) >= MEMO_CAP:
         memo.clear()

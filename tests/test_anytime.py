@@ -469,6 +469,16 @@ class TestPruning:
         assert not sv.single_fault_consistent(
             {"g": FAULTY, "a": FAULTY, "t": CORRECT, "m": FAULTY}, emb)
 
+    @pytest.mark.parametrize("outcomes, named", [
+        ({"a": "FAULTY"}, "a"), ({"a": FAULTY, "g": "broken"}, "g")])
+    def test_unknown_status_refused_as_beliefs_refuse_it(self, ref_iso,
+                                                        outcomes, named):
+        message = f"finding for {named!r} must be faulty/correct"
+        with pytest.raises(ValueError, match=message):
+            sv.fault_belief(ref_iso, outcomes)
+        with pytest.raises(ValueError, match=message):
+            sv.single_fault_consistent(outcomes, sv.EmbTable(REFERENCE_EMB))
+
     def test_all_correct_path_retained(self, ref_iso):
         emb = sv.EmbTable(REFERENCE_EMB)
         pruned = sv.prune_single_fault(sv.compile_decision_tree(ref_iso), emb)

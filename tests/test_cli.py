@@ -395,6 +395,26 @@ def test_malformed_discretizer_is_an_input_error(tmp_path, capsys, document,
     assert rc == 2 and part in err and "runtime error" not in err
 
 
+@pytest.mark.parametrize("command, writes", [
+    ("validate", False), ("validate", True), ("simulate", True),
+    ("compare", True)])
+def test_states_the_discretizer_cannot_code_are_refused_before_any_output(
+        tmp_path, capsys, command, writes):
+    def relabel(doc):
+        p, = (v for v in doc["variables"] if v["name"] == "p")
+        p["states"] = [f"s{k}" for k in range(len(p["states"]))]
+
+    network = tmp_path / "net.json"
+    network.write_text(reference_net_with(relabel))
+    out = tmp_path / "out.txt"
+    rc = main([command, "--network", str(network), "--discretizer", DISC,
+               "--data", READINGS, *(["--out", str(out)] if writes else [])])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert "variable 'p' has states" in captured.err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("document, message", [
     ('{"variables": ["a", "g", "m"], "edges": '
      '[["a", "g"], ["g", "m"], ["m", "a"]]}',

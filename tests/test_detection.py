@@ -297,7 +297,7 @@ class TestNonFiniteReadings:
 
 
 class LookupSpy(dict):
-    """A prediction memo that counts its lookups."""
+    """A kernel memo that counts its lookups."""
 
     def __init__(self, entries):
         super().__init__(entries)
@@ -329,6 +329,9 @@ def chain_net(seed: int) -> sv.BayesNet:
 
 
 class TestPredictionMemo:
+    """Each kernel memoises one verdict rule per blanket state, criterion
+    and set of the sensor's bounds; predictions are computed afresh."""
+
     CRITERIA = (sv.DetectionCriterion("sigma", 1.0),
                 sv.DetectionCriterion("pvalue", 0.2),
                 sv.DetectionCriterion("tau", 0.3))
@@ -347,20 +350,35 @@ class TestPredictionMemo:
                                               criterion))
 
     @pytest.mark.parametrize("target, general", [("a", True), ("b", False)])
-    def test_hit_equals_cold_prediction(self, target, general):
+    def test_warm_verdicts_equal_cold(self, target, general):
         warm = chain_net(5)
         d = Discretizer(3, {v: (0.0, 3.0) for v in "abc"})
         for codes in itertools.product(range(3), repeat=3):
             reading = {v: k + 0.5 for v, k in zip("abc", codes)}
-            first = self.predict(warm, d, reading, target)
-            hit = self.predict(warm, d, reading, target)
-            assert hit is first
             cold_net = chain_net(5)
-            assert np.array_equal(hit, self.predict(cold_net, d, reading,
-                                                    target))
+            assert np.array_equal(self.predict(warm, d, reading, target),
+                                  self.predict(cold_net, d, reading, target))
             assert cold_net.blanket_kernels[target].general is general
             self.assert_judged_alike(warm, lambda: chain_net(5), d, reading,
                                      target, np.linspace(-0.5, 3.5, 17))
+        # one rule per criterion for each blanket state met
+        memo = warm.blanket_kernels[target].memo
+        states = {key[0] for key in memo}
+        assert len(states) == 3 ** len(warm.blanket_kernels[target].blanket)
+        assert len(memo) == len(states) * len(self.CRITERIA)
+
+    def test_one_lookup_per_verdict(self, monkeypatch):
+        net = chain_net(5)
+        d = Discretizer(3, {v: (0.0, 3.0) for v in "abc"})
+        reading = {"a": 0.5, "b": 1.5, "c": 2.5}
+        for criterion in self.CRITERIA:
+            sv.validate_sensor(net, d, reading, "b", criterion)
+        kernel = net.blanket_kernels["b"]
+        spy = LookupSpy(kernel.memo)
+        monkeypatch.setattr(kernel, "memo", spy)
+        for n, criterion in enumerate(self.CRITERIA, 1):
+            sv.validate_sensor(net, d, reading, "b", criterion)
+            assert spy.lookups == n
 
     def test_discretizers_with_other_bounds_do_not_share(self):
         # equal bins and equal blanket codes, but b's midpoints differ: the
@@ -384,28 +402,39 @@ class TestPredictionMemo:
         for d in (narrow, wide):
             self.assert_judged_alike(net, lambda: chain_net(6), d, reading,
                                      "b", np.linspace(0.0, 6.0, 25))
-        # one entry for the one blanket state, with a rule per criterion
-        # and per bounds of b
-        (_p, rules), = net.blanket_kernels["b"].memo.values()
-        assert len(rules) == len(self.CRITERIA) * 2
+        # the one blanket state has a rule per criterion and per bounds of b
+        memo = net.blanket_kernels["b"].memo
+        assert len({key[0] for key in memo}) == 1
+        assert len(memo) == len(self.CRITERIA) * 2
 
-    def test_cached_probabilities_are_read_only(self, ref):
-        dist = sv.predict_distribution(ref.net, ref.discretizer,
-                                       ref.test.row(2), "t")
-        with pytest.raises(ValueError, match="read-only"):
-            dist.probabilities[0] = 1.0
+    def test_predictions_are_new_arrays(self, ref):
+        reading = ref.test.row(2)
+        first = sv.predict_distribution(ref.net, ref.discretizer, reading,
+                                        "t").probabilities
+        want = first.copy()
+        status = sv.validate_sensor(ref.net, ref.discretizer, reading, "t",
+                                    self.CRITERIA[0])
+        first[:] = 0.0
+        again = sv.predict_distribution(ref.net, ref.discretizer, reading,
+                                        "t").probabilities
+        assert again is not first
+        assert np.array_equal(again, want)
+        assert sv.validate_sensor(ref.net, ref.discretizer, reading, "t",
+                                  self.CRITERIA[0]) == status
 
     def test_cap_clears_the_memo(self, monkeypatch):
-        monkeypatch.setattr(model, "MEMO_CAP", 2)
+        monkeypatch.setattr(model, "MEMO_CAP", 4)
         net = chain_net(7)
         d = Discretizer(3, {v: (0.0, 3.0) for v in "abc"})
         sizes = []
         for k in range(3):
+            reading = {"a": k + 0.5, "b": 0.5, "c": 0.5}
             for criterion in self.CRITERIA:
-                sv.validate_sensor(net, d, {"a": k + 0.5, "b": 0.5, "c": 0.5},
-                                   "b", criterion)
-            sizes.append(len(net.blanket_kernels["b"].memo))
-        assert sizes == [1, 2, 1]
+                assert (sv.validate_sensor(net, d, reading, "b", criterion)
+                        == sv.validate_sensor(chain_net(7), d, reading, "b",
+                                              criterion))
+                sizes.append(len(net.blanket_kernels["b"].memo))
+        assert sizes == [1, 2, 3, 4, 1, 2, 3, 4, 1]
 
 
 def parent_faulty(criterion, x, p, d, sensor):
