@@ -71,17 +71,23 @@ def _select(iso: IsolationNet, faulty: int, correct: int, open_: int) -> str:
     the bitmask ``open_`` of candidates, memoised in ``iso.select_memo``
     under those three masks. Candidates are scored in name order whatever
     the order of ``iso.sensors``, and the first within TIE_TOLERANCE of
-    the minimum is chosen, so ties break lexicographically."""
+    the minimum is chosen, so ties break lexicographically. A lone
+    candidate is chosen unscored, once the belief solve has checked that
+    the findings have nonzero probability."""
     if not open_:
         raise ValueError("no unvalidated sensors left")
     key = (faulty, correct, open_)
     choice = iso.select_memo.get(key)
     if choice is None:
-        candidates = sorted(iso.sensors[i] for i in _indices(open_))
-        scores = candidate_scores(iso, faulty, correct,
-                                  iso.indices(candidates))
-        choice = candidates[int(np.flatnonzero(
-            scores - scores.min() <= TIE_TOLERANCE)[0])]
+        if open_ & (open_ - 1):
+            candidates = sorted(iso.sensors[i] for i in _indices(open_))
+            scores = candidate_scores(iso, faulty, correct,
+                                      iso.indices(candidates))
+            choice = candidates[int(np.flatnonzero(
+                scores - scores.min() <= TIE_TOLERANCE)[0])]
+        else:
+            noisy_or_root_posteriors(iso, faulty, correct)
+            choice = iso.sensors[open_.bit_length() - 1]
         remember(iso.select_memo, key, choice)
     return choice
 
@@ -238,8 +244,8 @@ class StepRecord:
     ``elapsed_ms`` is the library time in this cycle up to this step; the
     step's own library time is split into ``select_ms`` (online selection,
     0 on a tree walk), ``detect_ms`` (validating the sensor) and
-    ``belief_ms`` (posteriors, ``pf`` and ``quality``). ``to_json`` leaves
-    the three out.
+    ``belief_ms`` (posteriors, ``pf``, the entropies of the beliefs that
+    moved and ``quality``). ``to_json`` leaves the three out.
     """
 
     step: int
@@ -281,8 +287,17 @@ def run_anytime_validation(
 
     The findings are carried as bitmasks over ``iso.sensors`` (faulty,
     correct and still open), one bit set per step; each step's ``pf`` is
-    what ``fault_belief`` gives for the findings so far, bit for bit.
+    what ``fault_belief`` gives for the findings so far, and its
+    ``quality`` what ``quality(pf)`` gives, bit for bit. The cycle starts
+    from the network's no-finding beliefs (``iso.start``, computed by the
+    first cycle on the network, outside its clock).
     """
+    if iso.start is None:
+        post = noisy_or_root_posteriors(iso, 0, 0).tolist()
+        iso.start = post, [binary_entropy(p) for p in post]
+    # the last posteriors and their entropies; a step refreshes the
+    # entropy of only the roots whose posterior it changed
+    last, entropies = iso.start[0], iso.start[1].copy()
     # library time only: the clock stops at each yield
     clock = time.perf_counter
     busy = 0.0
@@ -312,9 +327,14 @@ def run_anytime_validation(
         else:
             correct |= b
         open_ &= ~b
-        pf = dict(zip(iso.sensors,
-                      noisy_or_root_posteriors(iso, faulty, correct).tolist()))
-        q = quality(pf)
+        post = noisy_or_root_posteriors(iso, faulty, correct).tolist()
+        for i, p in enumerate(post):
+            if p != last[i]:
+                entropies[i] = binary_entropy(p)
+        last = post
+        pf = dict(zip(iso.sensors, post))
+        # quality(pf), summed in the same order
+        q = 1.0 - sum(entropies) / len(entropies)
         step += 1
         done = clock()
         busy += done - resumed

@@ -66,7 +66,8 @@ class Discretizer:
     bounds: dict                       # sensor -> (lower, upper)
 
     def __post_init__(self):
-        if not isinstance(self.bins, numbers.Integral):
+        if (not isinstance(self.bins, numbers.Integral)
+                or isinstance(self.bins, bool)):
             raise DiscretizerError(f"'bins' must be an integer, not {self.bins!r}")
         if self.bins < 2:
             raise DiscretizerError("need at least 2 intervals")

@@ -87,12 +87,16 @@ class IsolationNet:
     the component's root mask, its faulty effects in order and the correct
     findings among the apparent faults its roots cause. Both store through
     ``model.remember``, which caps each at ``model.MEMO_CAP`` entries.
+    ``start`` is None until the first validation cycle on the network
+    (``anytime.run_anytime_validation``) sets it to the cycle's start
+    state: the no-finding posteriors as a list in ``sensors`` order and
+    the binary entropy of each. Cycles read it and never change it.
     """
 
     __slots__ = ("sensors", "parents_of", "params", "priors", "index", "bit",
                  "prior", "ok_prior", "log_odds", "log_q", "parents",
                  "parent_mask", "child_mask", "linked_mask", "select_memo",
-                 "component_memo")
+                 "component_memo", "start")
 
     def __init__(self, sensors: tuple[str, ...], parents_of: dict,
                  params: NoisyOrParams, priors: dict):
@@ -133,6 +137,7 @@ class IsolationNet:
                 self.linked_mask[j] |= self.child_mask[i]
         self.select_memo = {}
         self.component_memo = {}
+        self.start = None
 
     def indices(self, sensors: Iterable[str]) -> list[int]:
         try:

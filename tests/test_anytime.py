@@ -100,6 +100,30 @@ class TestSelectNextSensor:
     def test_single_candidate(self, ref_iso):
         assert sv.select_next_sensor(ref_iso, {}, {"p"}) == "p"
 
+    def test_lone_candidate_is_chosen_unscored(self, monkeypatch):
+        iso = sv.build_isolation_network(sv.EmbTable(REFERENCE_EMB))
+        monkeypatch.setattr(anytime, "candidate_scores", None)
+        findings = {"m": CORRECT, "t": FAULTY, "g": FAULTY, "a": CORRECT}
+        assert sv.select_next_sensor(iso, findings, {"p"}) == "p"
+        faulty, correct = iso.finding_masks(findings)
+        assert iso.select_memo == {(faulty, correct, iso.bit["p"]): "p"}
+
+    def test_lone_candidate_in_a_zero_probability_state_raises(self):
+        # certain links: a correct finding on x rules out a fault in root
+        # x, the only cause of y, so a faulty y has probability zero
+        iso = sv.IsolationNet(
+            ("w", "x", "y", "z"),
+            {"w": ("w",), "x": ("x",), "y": ("x",), "z": ("z",)},
+            sv.NoisyOrParams({("w", "w"): 1.0, ("x", "x"): 1.0,
+                              ("x", "y"): 1.0, ("z", "z"): 1.0}),
+            {"w": 0.1, "x": 0.1, "y": 0.1, "z": 0.1})
+        findings = {"x": CORRECT, "y": FAULTY}
+        # a lone candidate, then the same state with a pool to score
+        for pool in ({"z"}, {"w", "z"}):
+            with pytest.raises(sv.InconsistentEvidenceError):
+                sv.select_next_sensor(iso, findings, pool)
+        assert iso.select_memo == {}
+
     def test_repeated_candidate_keys_its_own_pool(self):
         iso = sv.build_isolation_network(sv.EmbTable(REFERENCE_EMB))
         assert sv.select_next_sensor(iso, {}, ["p", "p"]) == "p"
@@ -889,7 +913,7 @@ class TestCycleMatchesPublicFunctions:
                 unvalidated.discard(r.sensor)
                 want = sv.fault_belief(reference, findings)
                 assert list(r.pf.items()) == list(want.items()), findings
-                assert r.quality == sv.quality(want)
+                assert r.quality == sv.quality(r.pf)
             cycles.append([(r.sensor, r.status) for r in records])
         return cycles
 
@@ -913,6 +937,23 @@ class TestCycleMatchesPublicFunctions:
         assert len(cycles) == 21
         assert any(status == FAULTY for c in cycles for _, status in c)
 
+    @pytest.mark.parametrize("pruned", [None, False, True])
+    def test_uneven_priors_and_links(self, ref, pruned):
+        # the cycle starts from beliefs that are not all 0.5
+        strengths = dict(ref.iso.params.strengths)
+        strengths.update({("t", "g"): 0.6, ("m", "p"): 0.8, ("a", "t"): 0.7})
+        priors = {"m": 0.1, "t": 0.3, "p": 0.05, "g": 0.5, "a": 0.2}
+
+        def build():
+            return sv.IsolationNet(ref.iso.sensors, ref.iso.parents_of,
+                                   sv.NoisyOrParams(strengths), priors)
+        tree = None if pruned is None else sv.compile_decision_tree(
+            build(), ref.emb if pruned else None)
+        cycles = self.check(ref, build(), build(), tree,
+                            reference_readings(ref))
+        assert len(cycles) == 440
+        assert any(status == FAULTY for c in cycles for _, status in c)
+
     def test_unsorted_network_orders_as_the_sorted_one(self, ref):
         # a and g tie in the reference net; the cycle on a network whose
         # sensors run backwards must still pick by name
@@ -923,3 +964,58 @@ class TestCycleMatchesPublicFunctions:
                               network_copy(ref.iso), None,
                               reference_readings(ref))
         assert backwards == forwards
+
+
+class TestEntropyRefresh:
+    """Each step refreshes the entropy of only the beliefs it moved,
+    starting from the network's no-finding beliefs (``iso.start``)."""
+
+    CRITERION = sv.DetectionCriterion("pvalue", 0.01)
+
+    def cycle(self, bench, iso, reading, tree=None):
+        return sv.run_anytime_validation(bench.net, bench.discretizer, iso,
+                                         tree, reading, self.CRITERION)
+
+    def test_first_cycle_sets_the_start_state(self, ref):
+        iso = network_copy(ref.iso)
+        assert iso.start is None
+        reading = next(reference_readings(ref))
+        next(self.cycle(ref, iso, reading))
+        beliefs, entropies = iso.start
+        want = sv.fault_belief(iso, {})
+        assert beliefs == list(want.values())
+        assert entropies == [sv.binary_entropy(p) for p in beliefs]
+
+    def test_a_step_refreshes_only_the_moved_beliefs(self, tree21,
+                                                     monkeypatch):
+        iso = network_copy(tree21.iso)
+        readings = workloads.tree21_readings(tree21, 0, 1)[::4]
+        list(self.cycle(tree21, iso, readings[0]))
+        calls = []
+        entropy = anytime.binary_entropy
+        monkeypatch.setattr(anytime, "binary_entropy",
+                            lambda p: calls.append(p) or entropy(p))
+        for reading in readings:
+            last = dict(zip(iso.sensors, iso.start[0]))
+            for rec in self.cycle(tree21, iso, reading):
+                moved = [p for s, p in rec.pf.items() if p != last[s]]
+                assert calls == moved
+                assert len(moved) < len(iso.sensors)
+                calls.clear()
+                last = rec.pf
+
+    @pytest.mark.parametrize("tree_file", [None, "reference_full.tree.json"])
+    def test_consumer_edits_reach_no_later_record(self, ref, tree_file):
+        tree = tree_file and sv.tree_from_json(
+            (FIXTURES / tree_file).read_text())
+        iso = network_copy(ref.iso)
+        for reading in itertools.islice(reference_readings(ref), 0, 440, 11):
+            clean = list(self.cycle(ref, network_copy(ref.iso), reading,
+                                    tree))
+            edited = []
+            for rec in self.cycle(ref, iso, reading, tree):
+                edited.append((rec.pf.copy(), rec.quality))
+                for s in rec.pf:
+                    rec.pf[s] = 0.5
+                rec.pf["zz"] = 2.0
+            assert edited == [(r.pf, r.quality) for r in clean]

@@ -377,6 +377,9 @@ def test_huge_reading_is_validated(tmp_path, capsys):
     ('{"bins": 10, "bounds": []}', "'bounds'"),
     ('{"bins": 10, "bounds": {"a": 5}}', "'bounds'"),
     ('{"bins": 2.7, "bounds": {"a": [0, 1]}}', "'bins'"),
+    # a JSON bool is not an interval count, though Python's bool is Integral
+    ('{"bins": true, "bounds": {"a": [0, 1]}}',
+     "'bins' must be an integer, not True"),
     ('{"bins": 10, "bounds": {"a": [0, Infinity]}}', "sensor 'a'"),
     ('{"bins": 10, "bounds": {"a": [-Infinity, Infinity]}}', "sensor 'a'"),
     ('{"bins": 10, "bounds": {"a": [0, 1e308]}}', "sensor 'a'"),
@@ -627,10 +630,10 @@ def test_bad_compare_option_is_an_input_error(tmp_path, capsys, option,
 def test_internal_error_is_a_runtime_error(tmp_path, capsys, monkeypatch,
                                            error):
     # a bug inside the library, not bad input: exit 1, not 2
-    def broken(_pf):
+    def broken(_p):
         raise error("internal bug")
 
-    monkeypatch.setattr(anytime, "quality", broken)
+    monkeypatch.setattr(anytime, "binary_entropy", broken)
     rc = main(["validate", "--network", NET, "--discretizer", DISC,
                "--data", READINGS, "--out", str(tmp_path / "steps.jsonl")])
     assert rc == 1
