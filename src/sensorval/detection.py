@@ -14,18 +14,23 @@ and k * sigma; pvalue the mean and the sorted distinct distances of the
 midpoints from it, each with a verdict slot; tau the verdict of each
 interval. Each kernel memoises the rule (``model.remember``) under the
 blanket state, the criterion and the sensor's bounds; a miss predicts
-afresh and builds the rule from that. One kernel method goes from
-the blanket's interval codes and the reading to a verdict
-(``BlanketKernel.faulty``): ``validate_sensor`` codes the blanket of each
-reading it is given, while the link calibration codes each training row
-and each injected reading once and reuses the codes across the
-validations they feed. Most blanket states repeat,
-so most verdicts are one comparison or one bisection. The pvalue slots
-fill on first need: in a calibration a third of the validations meet a
-new state, where one verdict is needed and filling every slot would cost
-several. With 10 intervals an entry, its key and its share of the memo
-table included, takes about 0.5 kB for a sigma rule, 0.7 kB for a tau
-rule and 1.0 kB for a pvalue rule, which keeps the prediction.
+afresh and builds the rule from that. ``validate_sensor`` codes the
+blanket of the reading it is given and takes the verdict from the
+kernel (``BlanketKernel.faulty``). Most blanket states repeat, so most
+verdicts are one comparison or one bisection. The pvalue slots fill on
+first need: on a cold reference network, 176 to 208 of the 1,320
+validations of a 24-row ``simulate`` call meet a new state, where one
+verdict is needed and filling every slot would cost several. With 10
+intervals an entry, its key and its share of the memo table included,
+takes about 0.5 kB for a sigma rule, 0.7 kB for a tau rule and 1.0 kB for
+a pvalue rule, which keeps the prediction.
+
+The link calibration builds no rule: it predicts the rows of all the
+links into one sensor in one call (``BlanketKernel.probabilities`` takes
+rows of codes) and judges them in one array expression
+(``DetectionCriterion.verdicts``). The rules and the verdicts share each
+criterion's arithmetic: the mean and deviations (``_moments``), sigma
+(``_sigma``) and the pvalue tail (``_tail``).
 """
 
 from __future__ import annotations
@@ -159,6 +164,10 @@ class DetectionCriterion:
     def __post_init__(self):
         if self.kind not in (SIGMA, PVALUE, TAU):
             raise ValueError(f"unknown criterion kind {self.kind!r}")
+        if (not isinstance(self.parameter, numbers.Real)
+                or isinstance(self.parameter, bool)):
+            raise ValueError(f"{self.kind} criterion parameter must be a "
+                             f"number, not {self.parameter!r}")
         if not math.isfinite(self.parameter):
             raise ValueError(f"{self.kind} criterion parameter "
                              f"{self.parameter!r} is not finite")
@@ -182,20 +191,54 @@ class DetectionCriterion:
             index = d.index
             faulty = (p < level).tolist()       # one verdict per interval
             return lambda x: faulty[index(sensor, x)]
-        midpoints = d.midpoints(sensor)
-        mean = float((p * midpoints).sum())
-        deviations = np.abs(midpoints - mean)
+        mean, deviations = _moments(p, d.midpoints(sensor))
+        mean = float(mean)
         if self.kind == SIGMA:
-            sigma = float(np.sqrt(max(float((p * deviations ** 2).sum()), 0.0)))
-            threshold = level * sigma
+            threshold = level * float(_sigma(p, deviations))
             return lambda x: abs(x - mean) > threshold
         return _TailRule(p, level, mean, deviations)
+
+    def verdicts(self, p: np.ndarray, d: Discretizer, sensor: str,
+                 x: np.ndarray) -> np.ndarray:
+        """The rule's verdicts on many readings at once: whether each
+        reading ``x[i]`` of the sensor is apparently faulty given its
+        prediction, the row ``p[i]``. Equal to ``rule(p[i], d, sensor)(x[i])``
+        for every row, with no rule built."""
+        level = self.parameter
+        if self.kind == TAU:
+            return p[np.arange(len(p)), d._index_array(sensor, x)] < level
+        mean, deviations = _moments(p, d.midpoints(sensor))
+        distance = np.abs(x - mean)
+        if self.kind == SIGMA:
+            return distance > level * _sigma(p, deviations)
+        return _tail(p, deviations, distance[:, None]) < level
+
+
+def _moments(p: np.ndarray, midpoints: np.ndarray):
+    """The mean of each prediction (along the last axis of p) over the
+    interval midpoints, and each midpoint's distance from it."""
+    mean = np.add.reduce(p * midpoints, axis=-1)
+    return mean, np.abs(midpoints - mean[..., None])
+
+
+def _sigma(p: np.ndarray, deviations: np.ndarray):
+    """The standard deviation of each prediction, from ``_moments``."""
+    return np.sqrt(np.maximum(np.add.reduce(p * deviations ** 2, axis=-1),
+                              0.0))
+
+
+def _tail(p: np.ndarray, deviations: np.ndarray, radius):
+    """The mass of each prediction on the midpoints at least ``radius``
+    (broadcast against ``deviations``) from its mean: zeros in place of the
+    other midpoints, then one sum, so that a prediction's tail rounds
+    alike in a rule and in a batch."""
+    return np.add.reduce(p * (deviations >= radius), axis=-1)
 
 
 class _TailRule:
     """The pvalue verdict on a prediction p: a reading x is faulty when the
     mass of the midpoints at least as far from the mean as x,
-    ``p[deviations >= abs(x - mean)].sum()``, falls below the level.
+    ``_tail(p, deviations, abs(x - mean))``, falls below the level.
 
     That mask equals the mask at the smallest distinct deviation at or
     beyond abs(x - mean), found by bisection, so each distinct deviation
@@ -223,7 +266,7 @@ class _TailRule:
             return True
         verdict = self.verdicts[j]
         if verdict is None:
-            tail = float(self.p[self.deviations >= radii[j]].sum())
+            tail = float(_tail(self.p, self.deviations, radii[j]))
             verdict = self.verdicts[j] = tail < self.level
         return verdict
 
@@ -246,9 +289,9 @@ class BlanketKernel:
     CPT that its parents' codes pick, times one column slice of each
     child's CPT. Each of these CPTs is stored in ``slabs`` with X's axis
     last, so every factor, as a function of X, is one row of ``slabs``;
-    that row is ``base + weights @ codes`` (mixed-radix strides over the
-    blanket codes). One prediction is a matrix-vector product, one row
-    gather and a product over the factors.
+    that row is ``codes @ weights + base`` (mixed-radix strides over the
+    blanket codes). The predictions of many blanket states are one matrix
+    product, one row gather and a product over the factors.
 
     Every variable of the extended blanket must have exactly the states
     "0".."bins-1" in that order, because codes are used as positions.
@@ -271,10 +314,9 @@ class BlanketKernel:
         # is positive when none of them has a zero entry, and then the
         # kernel's own sum decides whether the blanket evidence is possible;
         # otherwise only the general engine can tell.
-        self.general = any((net.cpts[v].table <= 0.0).any()
-                           for v in net.names() if v not in family)
+        self.general = not net.zero_cpts <= set(family)
         column = {b: i for i, b in enumerate(self.blanket)}
-        weights = np.zeros((len(family), len(self.blanket)), dtype=np.intp)
+        weights = np.zeros((len(self.blanket), len(family)), dtype=np.intp)
         base, slabs, rows = [], [], 0
         for f, v in enumerate(family):
             cpt = net.cpts[v]
@@ -283,7 +325,7 @@ class BlanketKernel:
             slab = np.moveaxis(table, axes.index(sensor), -1).reshape(-1, bins)
             rest = [a for a in axes if a != sensor]
             for i, a in enumerate(rest):
-                weights[f, column[a]] = bins ** (len(rest) - 1 - i)
+                weights[column[a], f] = bins ** (len(rest) - 1 - i)
             base.append(rows)
             slabs.append(slab)
             rows += len(slab)
@@ -307,46 +349,57 @@ class BlanketKernel:
             codes.append(d.index(b, x))
         return tuple(codes)
 
-    def probabilities(self, net: BayesNet, codes: tuple) -> np.ndarray:
-        """Normalized P(sensor | blanket), a function of the blanket's
-        interval ``codes`` (in ``blanket`` order), as a new array: the
-        closed form, or the general engine where ``general`` is set.
+    def probabilities(self, net: BayesNet, codes) -> np.ndarray:
+        """Normalized P(sensor | blanket) for each row of the blanket's
+        interval ``codes`` (one row per blanket state, in ``blanket``
+        order), as a new array with one row per state: the closed form, or
+        the general engine, one row at a time, where ``general`` is set.
 
-        Raises InconsistentEvidenceError when the blanket codes have
+        Raises InconsistentEvidenceError when the codes of a row have
         probability zero.
         """
+        codes = np.asarray(codes, dtype=np.intp).reshape(
+            len(codes), len(self.blanket))
         if self.general:
-            evidence = dict(zip(self.blanket, map(str, codes)))
-            return posterior_marginal(net, evidence, self.sensor).probabilities
-        rows = self.base + self.weights @ np.array(codes, dtype=np.intp)
-        p = self.slabs[rows].prod(axis=0)
-        z = p.sum()
-        if z <= _EVIDENCE_EPS:
-            evidence = dict(zip(self.blanket, map(str, codes)))
+            return np.array([
+                posterior_marginal(net, self._evidence(row),
+                                   self.sensor).probabilities
+                for row in codes]).reshape(len(codes), self.bins)
+        # take and the ufuncs' own reduce cost about a fifth less than
+        # indexing and the array methods on the one-row call of a memo miss
+        rows = codes @ self.weights + self.base
+        p = np.multiply.reduce(self.slabs.take(rows, axis=0), axis=1)
+        z = np.add.reduce(p, axis=1)
+        # on a list, the check costs a fifth of z.min() for one row
+        if min(z.tolist()) <= _EVIDENCE_EPS:
+            row = codes[np.argmax(z <= _EVIDENCE_EPS)]
             raise InconsistentEvidenceError(
-                f"blanket evidence {evidence!r} of {self.sensor!r} "
-                f"has probability zero")
-        return p / z
+                f"blanket evidence {self._evidence(row)!r} of "
+                f"{self.sensor!r} has probability zero")
+        p /= z[:, None]
+        return p
+
+    def _evidence(self, row: np.ndarray) -> dict:
+        return dict(zip(self.blanket, map(str, row.tolist())))
 
     def predict(self, net: BayesNet, d: Discretizer,
                 reading: Mapping[str, float]) -> np.ndarray:
         """Normalized P(sensor | blanket readings), as a new array."""
-        return self.probabilities(net, self.codes(d, reading))
+        return self.probabilities(net, [self.codes(d, reading)])[0]
 
     def faulty(self, net: BayesNet, d: Discretizer, codes: tuple, x: float,
                criterion: DetectionCriterion) -> bool:
         """The verdict on the sensor's reading x given the blanket's
-        interval ``codes``: the memoised rule of those codes, the criterion
-        and the sensor's bounds, built on first need. ``validate_sensor``
-        and the link calibration, which codes each reading once, both come
-        here."""
+        interval ``codes``, the route of ``validate_sensor``: the memoised
+        rule of those codes, the criterion and the sensor's bounds, built
+        on first need from a one-row prediction."""
         # the criterion's fields, not the criterion: its generated hash would
         # be one more Python call per validation
         lo, hi = d.bounds[self.sensor]
         key = (codes, criterion.kind, criterion.parameter, lo, hi)
         rule = self.memo.get(key)
         if rule is None:
-            rule = criterion.rule(self.probabilities(net, codes), d,
+            rule = criterion.rule(self.probabilities(net, [codes])[0], d,
                                   self.sensor)
             remember(self.memo, key, rule)
         return rule(x)

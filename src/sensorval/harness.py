@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -204,8 +205,17 @@ def reference_structure() -> NetworkStructure:
     )
 
 
+def _is_count(n) -> bool:
+    """Whether n is an integer >= 1 (a bool is not)."""
+    return (isinstance(n, numbers.Integral) and not isinstance(n, bool)
+            and n >= 1)
+
+
 def random_tree_structure(n: int = 21, seed: int = 21) -> NetworkStructure:
     """A seeded random tree over n sensors with bounded branching."""
+    if not _is_count(n):
+        raise ValueError(f"a random tree needs an integer number of sensors "
+                         f">= 1, not {n!r}")
     rng = np.random.default_rng(seed)
     sensors = tuple(f"s{i:02d}" for i in range(n))
     edges = []
@@ -249,6 +259,13 @@ def generate_synthetic_dataset(structure: NetworkStructure, n_rows: int,
 
 # --- fault injection --------------------------------------------------------
 
+def _toward_upper(x, lo: float, hi: float):
+    """Whether a fault moves the reading x (a number or an array) up: the
+    upper range extreme is the farther one, ties going up. A severe fault
+    reads that extreme."""
+    return abs(hi - x) >= abs(x - lo)
+
+
 def inject_fault(row: Mapping[str, float], spec: FaultSpec,
                  d: Discretizer) -> dict[str, float]:
     """Overwrite the target reading; severe jumps to the farther range
@@ -257,13 +274,12 @@ def inject_fault(row: Mapping[str, float], spec: FaultSpec,
         raise KeyError(f"row has no sensor {spec.target!r}")
     lo, hi = d.bounds[spec.target]
     x = row[spec.target]
-    toward_upper = abs(hi - x) >= abs(x - lo)
     out = dict(row)
     if spec.severity == SEVERE:
-        out[spec.target] = hi if toward_upper else lo
+        out[spec.target] = hi if _toward_upper(x, lo, hi) else lo
     else:
         delta = MILD_FRACTION * (hi - lo)
-        out[spec.target] = x + delta if toward_upper else x - delta
+        out[spec.target] = x + delta if _toward_upper(x, lo, hi) else x - delta
     return out
 
 
@@ -282,34 +298,47 @@ def calibrate_link_strengths(
     link_overrides when the ideal all-links-near-one assumption does not
     hold for the data at hand.
 
-    Each row is coded into intervals once and each injected reading once;
-    every validation then goes from the blanket codes to a verdict
-    (``BlanketKernel.faulty``), as ``validate_sensor`` does.
+    The chosen rows are coded once per column, and each cause's severe
+    reading once per row. Each effect then judges the rows of all its
+    links at once, one block of rows per cause: one prediction call over
+    the blocks' blanket codes (``BlanketKernel.probabilities``) and one
+    array expression of the criterion (``DetectionCriterion.verdicts``),
+    equal to what ``validate_sensor`` says of each injected reading.
     """
+    if not _is_count(n_rows):
+        raise ValueError(f"'n_rows' must be an integer >= 1, not {n_rows!r}")
     if len(train) == 0:
         raise ValueError("empty calibration set")
     rng = np.random.default_rng(seed)
     idx = rng.choice(len(train), size=min(n_rows, len(train)), replace=False)
-    plan = [(cause, FaultSpec(cause, SEVERE),
-             [(effect, blanket_kernel(net, effect, d.bins))
-              for effect in sorted(emb[cause])])
-            for cause in sorted(emb)]
-    # every link is tried once per row
-    hits = {(cause, effect): 0.0 for cause, _, effects in plan
-            for effect, _ in effects}
-    for i in sorted(int(k) for k in idx):
-        reading = train.row(i)
-        clean = {s: d.index(s, x) for s, x in reading.items() if s in d.bounds}
-        for cause, spec, effects in plan:
-            x = inject_fault(reading, spec, d)[cause]
-            codes = {**clean, cause: d.index(cause, x)}
-            for effect, kernel in effects:
-                hits[cause, effect] += kernel.faulty(
-                    net, d, tuple([codes[b] for b in kernel.blanket]),
-                    x if effect == cause else reading[effect], criterion)
+    rows = train.values[idx]
+    readings = {s: rows[:, k] for k, s in enumerate(train.sensors)}
+    codes = {s: d._index_array(s, x) for s, x in readings.items()
+             if s in d.bounds}
+    severe, severe_codes = {}, {}
+    for c in emb:
+        lo, hi = d.bounds[c]
+        severe[c] = np.where(_toward_upper(readings[c], lo, hi), hi, lo)
+        severe_codes[c] = d._index_array(c, severe[c])
+    hits = {}
+    for effect in sorted({e for c in emb for e in emb[c]}):
+        causes = [c for c in sorted(emb) if effect in emb[c]]
+        kernel = blanket_kernel(net, effect, d.bins)
+        blanket = np.empty((len(causes), len(idx), len(kernel.blanket)),
+                           dtype=np.intp)
+        x = np.empty((len(causes), len(idx)))
+        for i, cause in enumerate(causes):
+            for j, b in enumerate(kernel.blanket):
+                blanket[i, :, j] = severe_codes[b] if b == cause else codes[b]
+            x[i] = severe[cause] if cause == effect else readings[effect]
+        faulty = criterion.verdicts(
+            kernel.probabilities(net, blanket.reshape(x.size, -1)), d,
+            effect, x.ravel())
+        counts = faulty.reshape(len(causes), -1).sum(axis=1).tolist()
+        hits.update(((c, effect), h) for c, h in zip(causes, counts))
     trials = float(len(idx))
-    return {k: min((h + 1.0) / (trials + 2.0), LINK_CEILING)
-            for k, h in hits.items()}
+    return {k: min((hits[k] + 1.0) / (trials + 2.0), LINK_CEILING)
+            for k in sorted(hits)}
 
 
 # --- experiments ------------------------------------------------------------

@@ -4,8 +4,9 @@ A network is a DAG over named discrete variables, one CPT per variable.
 CPT tables are dense: one row per parent assignment (mixed-radix order,
 first-listed parent varies slowest), one column per child state.
 Networks are immutable after construction and safe to share across threads;
-the only state added later is each variable's detection kernel, a pure
-function of the network that is built on first use.
+the only state added later is each variable's detection kernel and the set
+of variables whose CPT has a zero entry, pure functions of the network that
+are built on first use.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import json
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -171,6 +173,12 @@ class BayesNet:
                     f"CPT for {name!r} has shape {cpt.table.shape}, "
                     f"expected {expected}"
                 )
+
+    @cached_property
+    def zero_cpts(self) -> frozenset:
+        """The variables whose CPT has an entry <= 0, found once."""
+        return frozenset(v for v, cpt in self.cpts.items()
+                         if (cpt.table <= 0.0).any())
 
     # --- lookups -----------------------------------------------------------
 

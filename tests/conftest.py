@@ -2,11 +2,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import sensorval as sv
 from sensorval.benchmarks import reference_benchmark, tree21_benchmark
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+# The property tests draw the same examples on every run and keep no
+# example database, so a run neither depends on an earlier one nor writes
+# into the checkout. Each test still sets its own max_examples.
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.load_profile("tier1")
 
 # The worked-example EMB table the isolation model is built on.
 REFERENCE_EMB = {

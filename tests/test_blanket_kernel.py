@@ -4,15 +4,19 @@ On random DAGs, ``predict_distribution`` (the kernel) must agree with
 variable elimination (``posterior_marginal``) within 1e-12 and with full
 enumeration (``brute_force_posterior``) within 1e-9, raise
 InconsistentEvidenceError on zero-probability blanket evidence, and refuse
-at build time a network whose states are not the interval codes.
+at build time a network whose states are not the interval codes. Many
+rows of codes predicted at once must equal each row predicted alone, byte
+for byte.
 """
+
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import sensorval as sv
-from sensorval.detection import Discretizer, DiscretizerError
+from sensorval.detection import Discretizer, DiscretizerError, blanket_kernel
 from sensorval.inference import InconsistentEvidenceError
 
 
@@ -85,6 +89,30 @@ class TestKernelProperties:
         assert set(net.blanket_kernels) == set(names)
 
     @settings(max_examples=60, deadline=None)
+    @given(blanket_nets(), st.data())
+    def test_rows_equal_one_row_calls(self, case, data):
+        names, edges, cpts, bins, _ = case
+        net = build(names, edges, cpts, bins)
+        state = st.lists(st.integers(0, bins - 1), min_size=len(names),
+                         max_size=len(names))
+        states = data.draw(st.lists(state, min_size=1, max_size=6))
+        for target in names:        # v0 is isolated: an empty blanket
+            kernel = blanket_kernel(net, target, bins)
+            rows = [tuple(codes[names.index(b)] for b in kernel.blanket)
+                    for codes in states]
+            together = kernel.probabilities(net, rows)
+            assert together.shape == (len(rows), bins)
+            for row, p in zip(rows, together):
+                alone = kernel.probabilities(net, [row])
+                assert alone.shape == (1, bins)
+                assert alone.tobytes() == p.tobytes()
+                # the one-state form: a factor row per CPT, then a product
+                factors = kernel.slabs[kernel.base
+                                       + np.array(row, int) @ kernel.weights]
+                q = factors.prod(axis=0)
+                assert (q / q.sum()).tobytes() == p.tobytes()
+
+    @settings(max_examples=60, deadline=None)
     @given(blanket_nets())
     def test_zero_probability_blanket_evidence(self, case):
         names, edges, cpts, bins, codes = case
@@ -103,7 +131,19 @@ class TestKernelProperties:
                                       target)
             with pytest.raises(InconsistentEvidenceError):
                 sv.predict_distribution(net, d, reading, target)
-            assert not net.blanket_kernels[target].general
+            kernel = net.blanket_kernels[target]
+            assert not kernel.general
+            # among rows, the error names the first impossible row
+            possible = dict(codes, v3=(k3 + 1) % bins)
+            rows = [tuple(state[b] for b in kernel.blanket)
+                    for state in (possible, codes, possible)]
+            evidence = blanket_evidence(net, codes, target)
+            message = (f"blanket evidence "
+                       f"{dict(sorted(evidence.items()))!r} of {target!r}")
+            with pytest.raises(InconsistentEvidenceError,
+                               match=re.escape(message)):
+                kernel.probabilities(net, rows)
+            assert kernel.probabilities(net, rows[::2]).shape == (2, bins)
         # outside v3's and v2's families: the root v1 never takes its state
         prior = cpts["v1"].table.copy()
         prior[0, k1] = 0.0

@@ -237,6 +237,16 @@ class TestApplyCriterion:
         with pytest.raises(ValueError, match="sigma criterion parameter inf"):
             sv.DetectionCriterion("sigma", math.inf)
 
+    @pytest.mark.parametrize("kind, parameter", [
+        ("sigma", True), ("pvalue", False), ("tau", "0.1"), ("sigma", "2"),
+        ("pvalue", None), ("tau", [0.1])])
+    def test_parameter_must_be_a_number(self, kind, parameter):
+        # a bool is not read as 1 or 0, nor a string as its number
+        with pytest.raises(ValueError, match=re.escape(
+                f"{kind} criterion parameter must be a number, "
+                f"not {parameter!r}")):
+            sv.DetectionCriterion(kind, parameter)
+
 
 class TestValidateSensor:
     def test_clean_row_correct(self, ref):
@@ -489,6 +499,10 @@ class TestVerdictRules:
             assert [criterion.rule(p, d, "s")(x) for x in xs] == want
             assert [rule(x) for x in xs] == want
             assert [rule(x) for x in xs] == want
+            # all at once, as the link calibration judges its rows
+            rows = np.tile(p, (len(xs), 1))
+            assert criterion.verdicts(rows, d, "s",
+                                      np.array(xs)).tolist() == want
 
 
 class TestBlanketKernel:

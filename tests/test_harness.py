@@ -1,11 +1,14 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
 
 import sensorval as sv
+from sensorval import detection
 from sensorval.benchmarks import tree21_benchmark
 from sensorval.detection import Discretizer
+from sensorval.inference import InconsistentEvidenceError
 from sensorval.harness import (Dataset, criterion_label, policy_comparison_csv)
 from conftest import FIXTURES
 
@@ -197,6 +200,13 @@ class TestGenerate:
         with pytest.raises(ValueError):
             sv.generate_synthetic_dataset(sv.reference_structure(), 0, 0.1, 1)
 
+    @pytest.mark.parametrize("n", [0, -3, True, 2.0, "21"])
+    def test_tree_needs_sensors(self, n):
+        with pytest.raises(ValueError, match=re.escape(
+                f"a random tree needs an integer number of sensors >= 1, "
+                f"not {n!r}")):
+            sv.random_tree_structure(n)
+
     def test_desk_scale_model_passes_clean_validation(self):
         # paper-scale data: 870 rows, 70/30 split, 3-sigma criterion
         struct = sv.random_tree_structure(21, seed=21)
@@ -296,8 +306,8 @@ class TestCalibration:
         assert links[("p", "m")] < 0.2
 
     def test_tree21_links_are_unchanged(self, tree21):
-        # SHA-256 of the sorted calibrated links; calibrating again reads
-        # the warm prediction memos of the same network
+        # SHA-256 of the sorted calibrated links; calibrating again reuses
+        # the blanket kernels cached on the same network
         links = sv.harness.calibrate_link_strengths(
             tree21.net, tree21.discretizer, tree21.emb, tree21.train,
             sv.DetectionCriterion("pvalue", 0.01))
@@ -313,6 +323,15 @@ class TestCalibration:
         b = sv.harness.calibrate_link_strengths(
             ref.net, ref.discretizer, ref.emb, ref.train, crit, **kwargs)
         assert a == b
+
+    @pytest.mark.parametrize("n_rows", [0, -1, True, False, 2.5, "40", None])
+    def test_n_rows_must_be_a_positive_integer(self, ref, n_rows):
+        # 0 tried no row and gave 0.5 to every link; True tried one row
+        with pytest.raises(ValueError, match=re.escape(
+                f"'n_rows' must be an integer >= 1, not {n_rows!r}")):
+            sv.harness.calibrate_link_strengths(
+                ref.net, ref.discretizer, ref.emb, ref.train,
+                sv.DetectionCriterion("sigma", 3.0), n_rows=n_rows)
 
 
 def calibrate_by_validation(net, d, emb, train, criterion, n_rows=40,
@@ -336,25 +355,109 @@ def calibrate_by_validation(net, d, emb, train, criterion, n_rows=40,
 
 
 class TestCalibrationThroughCodes:
-    """Calibration codes each row and each injected reading once; its links
-    must equal those of validating every injected reading."""
+    """Calibration predicts and judges each link's rows in one batch; its
+    links must equal those of validating every injected reading."""
 
     CRITERIA = (sv.DetectionCriterion("pvalue", 0.01),
+                sv.DetectionCriterion("pvalue", 0.05),
                 sv.DetectionCriterion("sigma", 1.0),
-                sv.DetectionCriterion("tau", 0.2))
+                sv.DetectionCriterion("sigma", 2.0),
+                sv.DetectionCriterion("tau", 0.2),
+                sv.DetectionCriterion("tau", 0.05))
+
+    @staticmethod
+    def assert_as_validated(bench, emb, train, **kwargs):
+        def fresh():
+            return sv.learn_parameters(bench.structure, bench.discretizer,
+                                       bench.train)
+
+        for criterion in TestCalibrationThroughCodes.CRITERIA:
+            links = sv.harness.calibrate_link_strengths(
+                fresh(), bench.discretizer, emb, train, criterion, **kwargs)
+            assert links == calibrate_by_validation(
+                fresh(), bench.discretizer, emb, train, criterion, **kwargs)
 
     def test_tree21_training_split(self, tree21):
-        def fresh():
-            return sv.learn_parameters(tree21.structure, tree21.discretizer,
-                                       tree21.train)
+        self.assert_as_validated(tree21, tree21.emb, tree21.train)
 
+    def test_reference_training_split(self, ref):
+        self.assert_as_validated(ref, ref.emb, ref.train, seed=3)
+
+    @pytest.mark.parametrize("n_rows", [1, 20])
+    def test_one_row_and_more_rows_than_the_set(self, ref, n_rows):
+        train = Dataset(ref.train.sensors, ref.train.values[100:115])
+        self.assert_as_validated(ref, ref.emb, train, n_rows=n_rows)
+
+    def test_cause_outside_the_effects_blanket(self, ref):
+        # links m -> g and g -> m: neither is in the other's blanket, so the
+        # injected reading leaves the effect's prediction as it was
+        emb = sv.EmbTable({**ref.emb, "m": ref.emb["m"] | {"g"},
+                           "g": ref.emb["g"] | {"m"}})
+        assert "m" not in sv.markov_blanket(ref.net, "g")
+        self.assert_as_validated(ref, emb, ref.train, n_rows=30)
+
+    def test_sensor_with_an_empty_blanket(self):
+        # c is isolated: its blanket is empty and its only link is c -> c
+        rng = np.random.default_rng(4)
+        labels = ("0", "1", "2")
+        tables = [rng.uniform(0.05, 1.0, (rows, 3)) for rows in (1, 3, 1)]
+        cpts = {v: sv.Cpt(v, parents, t / t.sum(axis=1, keepdims=True))
+                for v, parents, t in zip("abc", ((), ("a",), ()), tables)}
+
+        def fresh():
+            return sv.BayesNet([sv.Variable(v, labels) for v in "abc"],
+                               [("a", "b")], cpts)
+
+        d = Discretizer(3, {v: (0.0, 3.0) for v in "abc"})
+        train = Dataset(tuple("abc"), rng.uniform(0.0, 3.0, (30, 3)))
+        emb = sv.emb_table(fresh())
+        assert emb["c"] == {"c"}
         for criterion in self.CRITERIA:
-            links = sv.harness.calibrate_link_strengths(
-                fresh(), tree21.discretizer, tree21.emb, tree21.train,
-                criterion)
-            assert links == calibrate_by_validation(
-                fresh(), tree21.discretizer, tree21.emb, tree21.train,
-                criterion)
+            assert (sv.harness.calibrate_link_strengths(
+                fresh(), d, emb, train, criterion, n_rows=20)
+                == calibrate_by_validation(fresh(), d, emb, train, criterion,
+                                           n_rows=20))
+
+    def test_builds_no_rule(self, ref, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("calibration took the per-reading route")
+
+        monkeypatch.setattr(detection.BlanketKernel, "faulty", refused)
+        monkeypatch.setattr(sv.DetectionCriterion, "rule", refused)
+        net = sv.learn_parameters(ref.structure, ref.discretizer, ref.train)
+        for criterion in self.CRITERIA:
+            sv.harness.calibrate_link_strengths(
+                net, ref.discretizer, ref.emb, ref.train, criterion)
+        assert set(net.blanket_kernels) == set(ref.emb)
+        assert all(not k.memo for k in net.blanket_kernels.values())
+
+    def test_zero_probability_evidence(self):
+        # a = 2 forces b = 0, and b = 0 never gives c = 0; a severe fault in
+        # a reads 2, so with c = 0 the blanket {a, c} of b is impossible
+        labels = ("0", "1", "2")
+        b_table = np.full((3, 3), 1 / 3)
+        b_table[2] = (1.0, 0.0, 0.0)
+        c_table = np.full((3, 3), 1 / 3)
+        c_table[0] = (0.0, 0.5, 0.5)
+        cpts = {"a": sv.Cpt("a", (), np.full((1, 3), 1 / 3)),
+                "b": sv.Cpt("b", ("a",), b_table),
+                "c": sv.Cpt("c", ("b",), c_table)}
+
+        def fresh():
+            return sv.BayesNet([sv.Variable(v, labels) for v in "abc"],
+                               [("a", "b"), ("b", "c")], cpts)
+
+        d = Discretizer(3, {v: (0.0, 3.0) for v in "abc"})
+        train = Dataset(tuple("abc"), [[1.5, 1.5, 0.5], [0.5, 2.5, 0.5]])
+        emb = sv.emb_table(fresh())
+        criterion = sv.DetectionCriterion("sigma", 2.0)
+        message = re.escape("blanket evidence {'a': '2', 'c': '0'} of 'b' "
+                            "has probability zero")
+        with pytest.raises(InconsistentEvidenceError, match=message):
+            calibrate_by_validation(fresh(), d, emb, train, criterion)
+        with pytest.raises(InconsistentEvidenceError, match=message):
+            sv.harness.calibrate_link_strengths(fresh(), d, emb, train,
+                                                criterion)
 
     def test_general_route(self):
         # a -> b -> c with a zero in c's CPT: c lies outside a's family, so
