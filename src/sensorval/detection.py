@@ -9,21 +9,19 @@ of CPT slices (``BlanketKernel``), built once per network and sensor on
 first use and cached on the network.
 
 A criterion turns a prediction into a verdict rule, a function of the
-sensor's reading alone (``DetectionCriterion.rule``): sigma keeps the mean
-and k * sigma; pvalue the mean and the sorted distinct distances of the
-midpoints from it, each with a verdict slot; tau the verdict of each
-interval. Each kernel memoises the rule (``model.remember``) under the
+sensor's reading alone (``DetectionCriterion.rule``): tau keeps the
+verdict of each interval; sigma and pvalue keep the mean and a sorted
+table of radii with one verdict per slot, all computed when the rule is
+built, and judge a reading by bisecting its distance from the mean into
+the table. Each kernel memoises the rule (``model.remember``) under the
 blanket state, the criterion and the sensor's bounds; a miss predicts
-afresh and builds the rule from that. ``validate_sensor`` codes the
-blanket of the reading it is given and takes the verdict from the
-kernel (``BlanketKernel.faulty``). Most blanket states repeat, so most
-verdicts are one comparison or one bisection. The pvalue slots fill on
-first need: on a cold reference network, 176 to 208 of the 1,320
-validations of a 24-row ``simulate`` call meet a new state, where one
-verdict is needed and filling every slot would cost several. With 10
-intervals an entry, its key and its share of the memo table included,
-takes about 0.5 kB for a sigma rule, 0.7 kB for a tau rule and 1.0 kB for
-a pvalue rule, which keeps the prediction.
+afresh and builds the rule from that, so every memo value is complete
+when stored and a memoised verdict is a cold one. ``validate_sensor``
+codes the blanket of the reading it is given and takes the verdict from
+the kernel (``BlanketKernel.faulty``). Most blanket states repeat, so most
+verdicts are one bisection or one interval lookup. With 10 intervals an
+entry, its key and its share of the memo table included, takes about
+0.7 kB for a sigma or a tau rule and 0.8 kB for a pvalue rule.
 
 The link calibration builds no rule: it predicts the rows of all the
 links into one sensor in one call (``BlanketKernel.probabilities`` takes
@@ -182,9 +180,18 @@ class DetectionCriterion:
         function of x alone, given the sensor's predicted distribution p
         over the discretizer's intervals.
 
-        tau compares the probability of x's interval; sigma and pvalue read
-        the mean of p over the interval midpoints and each midpoint's
-        distance from it, and sigma also the standard deviation.
+        tau compares the probability of x's interval. sigma and pvalue
+        bisect abs(x - mean), the distance from the mean of p over the
+        interval midpoints, into a sorted table of radii (``bisect_left``)
+        and return that slot's verdict; past the largest radius, x is
+        faulty. sigma has the one radius k * sigma, within which x is
+        correct. pvalue has one radius per distinct distance of a midpoint
+        from the mean: the midpoints at least as far as x are those at
+        least as far as the radius of x's slot, so the slot's verdict is
+        whether their mass, ``_tail`` at that radius, falls below the
+        level. Every slot's verdict comes from its own masked sum, none
+        from another's: rounding need not keep the sums monotone in the
+        radius.
         """
         level = self.parameter
         if self.kind == TAU:
@@ -194,9 +201,17 @@ class DetectionCriterion:
         mean, deviations = _moments(p, d.midpoints(sensor))
         mean = float(mean)
         if self.kind == SIGMA:
-            threshold = level * float(_sigma(p, deviations))
-            return lambda x: abs(x - mean) > threshold
-        return _TailRule(p, level, mean, deviations)
+            radii = [level * float(_sigma(p, deviations))]
+            faulty = [False]
+        else:
+            # sorted(set()) of a few floats costs a fifth of np.unique
+            radii = sorted(set(deviations.tolist()))
+            faulty = (_tail(p, deviations, np.array(radii)[:, None])
+                      < level).tolist()
+        # past the largest radius, the reading is faulty; an array of doubles
+        # holds no float objects, a fifth off a pvalue entry's memory
+        radii, faulty = array("d", radii), (*faulty, True)
+        return lambda x: faulty[bisect_left(radii, abs(x - mean))]
 
     def verdicts(self, p: np.ndarray, d: Discretizer, sensor: str,
                  x: np.ndarray) -> np.ndarray:
@@ -235,42 +250,6 @@ def _tail(p: np.ndarray, deviations: np.ndarray, radius):
     return np.add.reduce(p * (deviations >= radius), axis=-1)
 
 
-class _TailRule:
-    """The pvalue verdict on a prediction p: a reading x is faulty when the
-    mass of the midpoints at least as far from the mean as x,
-    ``_tail(p, deviations, abs(x - mean))``, falls below the level.
-
-    That mask equals the mask at the smallest distinct deviation at or
-    beyond abs(x - mean), found by bisection, so each distinct deviation
-    has one verdict slot, filled on first need with the same masked sum.
-    No slot is inferred from another: rounding need not keep the sums
-    monotone in the radius. Past the largest deviation the tail is empty
-    and x is faulty.
-    """
-
-    __slots__ = ("p", "level", "mean", "deviations", "radii", "verdicts")
-
-    def __init__(self, p: np.ndarray, level: float, mean: float,
-                 deviations: np.ndarray):
-        self.p, self.level, self.mean = p, level, mean
-        self.deviations = deviations
-        # sorted(set()) of a few floats costs a fifth of np.unique, and an
-        # array of doubles a third of the memory of a list of floats
-        self.radii = array("d", sorted(set(deviations.tolist())))
-        self.verdicts: list[bool | None] = [None] * len(self.radii)
-
-    def __call__(self, x: float) -> bool:
-        radii = self.radii
-        j = bisect_left(radii, abs(x - self.mean))
-        if j == len(radii):
-            return True
-        verdict = self.verdicts[j]
-        if verdict is None:
-            tail = float(_tail(self.p, self.deviations, radii[j]))
-            verdict = self.verdicts[j] = tail < self.level
-        return verdict
-
-
 @dataclass(frozen=True)
 class ApparentStatus:
     sensor: str
@@ -301,10 +280,10 @@ class BlanketKernel:
         self.sensor = sensor
         self.bins = bins
         self.blanket = tuple(sorted(markov_blanket(net, sensor)))
-        labels = tuple(str(k) for k in range(bins))
         for v in (sensor,) + self.blanket:
             states = net.variable(v).states
-            if states != labels:
+            # the count first: a huge ``bins`` then builds no labels
+            if len(states) != bins or states != tuple(map(str, range(bins))):
                 raise DiscretizerError(
                     f"variable {v!r} has states {states!r}; a {bins}-interval "
                     f"discretizer needs exactly '0'..'{bins - 1}' in order")

@@ -286,10 +286,12 @@ def save_network(net: BayesNet) -> str:
 
 @contextmanager
 def malformed_part(error: type, part: str, shape: str):
-    """Raise ``error`` naming ``part`` when reading it here finds a wrong shape."""
+    """Raise ``error`` naming ``part`` when reading it here finds a wrong
+    shape, or nesting too deep for the JSON decoder."""
     try:
         yield
-    except (TypeError, ValueError, KeyError, AttributeError) as exc:
+    except (TypeError, ValueError, KeyError, AttributeError,
+            RecursionError) as exc:
         raise error(f"{part!r} must be {shape} ({exc!r})") from None
 
 

@@ -1,8 +1,10 @@
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 import sensorval as sv
 from sensorval.benchmarks import reference_benchmark, tree21_benchmark
@@ -14,6 +16,11 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 # into the checkout. Each test still sets its own max_examples.
 settings.register_profile("tier1", derandomize=True, database=None)
 settings.load_profile("tier1")
+# Hypothesis also caches the literals it finds in local source files in its
+# home directory, ``.hypothesis/`` in the working directory by default; a
+# temporary one, removed at exit, keeps that cache out of the checkout too.
+_HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="hypothesis-")
+set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
 
 # The worked-example EMB table the isolation model is built on.
 REFERENCE_EMB = {

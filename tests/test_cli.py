@@ -265,6 +265,12 @@ def run_with_document(tmp_path, capsys, argv, document):
     return rc, capsys.readouterr().err
 
 
+# nested deeper than the JSON decoder recurses: refused, not a RecursionError
+DEEP = pytest.param("[" * 100_000,
+                    "error: 'document' must be JSON (RecursionError(",
+                    id="deep-nesting")
+
+
 def reference_net_with(change) -> str:
     """The reference network document after ``change`` edits it in place."""
     doc = json.loads(Path(NET).read_text())
@@ -316,7 +322,8 @@ def reference_net_with(change) -> str:
         reference_net_with(lambda doc: doc["cpts"]["m"]["table"].append(
             doc["cpts"]["m"]["table"][0])),
         "CPT for 'm' has shape (2, 10), expected (1, 10)",
-        id="cpt-shape")])
+        id="cpt-shape"),
+    DEEP])
 def test_malformed_network_is_an_input_error(tmp_path, capsys, document, part):
     rc, err = run_with_document(
         tmp_path, capsys, ["validate", "--discretizer", DISC, "--data",
@@ -330,7 +337,8 @@ def test_malformed_network_is_an_input_error(tmp_path, capsys, document, part):
     ("5", "document"),
     ('{"variables": [["a"]], "edges": []}', "'variables'"),
     ('{"variables": ["a", "g"], "edges": [["a", "g"], ["a", "g"]]}',
-     "edge 'a' -> 'g' is listed twice")])
+     "edge 'a' -> 'g' is listed twice"),
+    DEEP])
 def test_malformed_structure_is_an_input_error(tmp_path, capsys, document,
                                                part):
     rc, err = run_with_document(
@@ -389,7 +397,8 @@ def test_huge_reading_is_validated(tmp_path, capsys):
     pytest.param(json.dumps({"bins": 10, "bounds": {
         s: b for s, b in json.loads(Path(DISC).read_text())["bounds"].items()
         if s != "t"}}), "discretizer is missing sensors ['t']",
-        id="missing-sensor")])
+        id="missing-sensor"),
+    DEEP])
 def test_malformed_discretizer_is_an_input_error(tmp_path, capsys, document,
                                                  part):
     rc, err = run_with_document(

@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -485,8 +486,13 @@ class TestVerdictRules:
         d, p = case
         mids = d.midpoints("s")
         mean = float((p * mids).sum())
+        deviations = np.abs(mids - mean)
+        sigma = float(np.sqrt(max(float((p * deviations ** 2).sum()), 0.0)))
         xs = [1e308, -1e308, *mids.tolist()]
-        for r in np.unique(np.abs(mids - mean)).tolist():
+        # every pvalue radius and the sigma threshold, each side of the
+        # mean, and their neighbours: a reading exactly on a radius or the
+        # threshold tells > from >= and bisect_left from bisect_right
+        for r in [*np.unique(deviations).tolist(), k * sigma]:
             for x in (mean + r, mean - r):
                 xs += [x, math.nextafter(x, -math.inf),
                        math.nextafter(x, math.inf)]
@@ -495,9 +501,11 @@ class TestVerdictRules:
                           sv.DetectionCriterion("tau", tau)):
             rule = criterion.rule(p, d, "s")
             want = [parent_faulty(criterion, x, p, d, "s") for x in xs]
-            # cold, then from slots the earlier readings filled
+            # each reading by a fresh rule, then by one rule in either
+            # order and again: a rule's verdicts do not depend on its past
             assert [criterion.rule(p, d, "s")(x) for x in xs] == want
             assert [rule(x) for x in xs] == want
+            assert [rule(x) for x in reversed(xs)] == want[::-1]
             assert [rule(x) for x in xs] == want
             # all at once, as the link calibration judges its rows
             rows = np.tile(p, (len(xs), 1))
@@ -510,6 +518,17 @@ class TestBlanketKernel:
         d = Discretizer(5, dict(ref.discretizer.bounds))
         with pytest.raises(DiscretizerError, match="'m'"):
             sv.predict_distribution(ref.net, d, ref.test.row(0), "m")
+
+    def test_huge_bins_refused_before_any_label_is_built(self, ref):
+        # the state count differs, so no million interval labels are made
+        tracemalloc.start()
+        try:
+            with pytest.raises(DiscretizerError, match="'m'"):
+                detection.BlanketKernel(ref.net, "m", 10 ** 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 ** 6
 
     def test_built_once_per_network_and_sensor(self, ref):
         reading = ref.test.row(3)
