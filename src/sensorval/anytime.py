@@ -289,15 +289,22 @@ def run_anytime_validation(
     correct and still open), one bit set per step; each step's ``pf`` is
     what ``fault_belief`` gives for the findings so far, and its
     ``quality`` what ``quality(pf)`` gives, bit for bit. The cycle starts
-    from the network's no-finding beliefs (``iso.start``, computed by the
-    first cycle on the network, outside its clock).
+    from the network's no-finding beliefs (entry (0, 0) of ``iso.states``,
+    computed by the first cycle on the network, outside its clock). The
+    first step reads its state from ``iso.states`` too, computing and
+    storing it when the table lacks it; on a hit its ``belief_ms`` covers
+    only the lookup, a copy of the entropy list and the new ``pf`` dict.
     """
-    if iso.start is None:
+    start = iso.states.get((0, 0))
+    if start is None:
         post = noisy_or_root_posteriors(iso, 0, 0).tolist()
-        iso.start = post, [binary_entropy(p) for p in post]
+        entropies = [binary_entropy(p) for p in post]
+        start = iso.states[0, 0] = (
+            post, entropies, 1.0 - sum(entropies) / len(entropies))
     # the last posteriors and their entropies; a step refreshes the
-    # entropy of only the roots whose posterior it changed
-    last, entropies = iso.start[0], iso.start[1].copy()
+    # entropy of only the roots whose posterior it changed, on its own
+    # copy of the list from the first step on
+    last, entropies, _ = start
     # library time only: the clock stops at each yield
     clock = time.perf_counter
     busy = 0.0
@@ -327,14 +334,23 @@ def run_anytime_validation(
         else:
             correct |= b
         open_ &= ~b
-        post = noisy_or_root_posteriors(iso, faulty, correct).tolist()
-        for i, p in enumerate(post):
-            if p != last[i]:
-                entropies[i] = binary_entropy(p)
+        state = None if step else iso.states.get((faulty, correct))
+        if state is None:
+            post = noisy_or_root_posteriors(iso, faulty, correct).tolist()
+            if not step:
+                entropies = entropies.copy()
+            for i, p in enumerate(post):
+                if p != last[i]:
+                    entropies[i] = binary_entropy(p)
+            # quality(pf), summed in the same order
+            q = 1.0 - sum(entropies) / len(entropies)
+            if not step:
+                iso.states[faulty, correct] = post, entropies.copy(), q
+        else:
+            post, entropies, q = state
+            entropies = entropies.copy()
         last = post
         pf = dict(zip(iso.sensors, post))
-        # quality(pf), summed in the same order
-        q = 1.0 - sum(entropies) / len(entropies)
         step += 1
         done = clock()
         busy += done - resumed

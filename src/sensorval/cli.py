@@ -6,10 +6,12 @@ Exit codes: 0 success, 2 input error, 1 runtime error. Input is checked
 where it enters: a bad file, CSV, option value, structure or decision
 tree, an input file that cannot be read as text, or an output path that
 cannot be written or names an input or the other output raises InputError
-(or the NetworkError and DiscretizerError of the loaders), and any other
-exception, a KeyError or ValueError included, is a runtime error. Outputs
-are opened once the inputs are checked, before the work, so a bad output
-path costs no work; one that names an input is refused before any read.
+(or DiscretizerError, for network states that are not interval codes);
+the error of a bad network, discretizer, structure or tree document names
+its file. Any other exception, a KeyError or ValueError included, is a
+runtime error. Outputs are opened once the inputs are checked, before the
+work, so a bad output path costs no work; one that names an input is
+refused before any read.
 """
 
 from __future__ import annotations
@@ -42,6 +44,16 @@ def _read(path: str, what: str) -> str:
     except UnicodeDecodeError as exc:
         raise InputError(f"{what} file {path} is not {exc.encoding} text: "
                          f"{exc.reason} at byte {exc.start}") from None
+
+
+def _load(load, path: str, what: str):
+    """``load`` of the text of the ``what`` file at ``path``; a defect in the
+    document raises InputError naming the file."""
+    document = _read(path, what)
+    try:
+        return load(document)
+    except (model.NetworkError, detection.DiscretizerError) as exc:
+        raise InputError(f"{what} {path}: {exc}") from None
 
 
 def _open_out(path: str, what: str):
@@ -90,11 +102,13 @@ def _criterion(args) -> detection.DetectionCriterion:
 
 
 def _load_model(args):
-    net = model.load_network(_read(args.network, "network"))
-    disc = detection.discretizer_from_json(_read(args.discretizer, "discretizer"))
+    net = _load(model.load_network, args.network, "network")
+    disc = _load(detection.discretizer_from_json, args.discretizer,
+                 "discretizer")
     missing = [s for s in net.names() if s not in disc.bounds]
     if missing:
-        raise InputError(f"discretizer is missing sensors {missing}")
+        raise InputError(f"discretizer {args.discretizer}: missing sensors "
+                         f"{missing}")
     for s in net.names():   # refuses state labels that are not interval codes
         detection.blanket_kernel(net, s, disc.bins)
     return net, disc
@@ -124,7 +138,7 @@ def cmd_learn(args) -> int:
     if not args.discretizer:
         args.discretizer = str(Path(args.out).with_suffix(".disc.json"))
     _refuse_overwrite(args, "out", "discretizer")
-    structure = model.load_structure(_read(args.structure, "structure"))
+    structure = _load(model.load_structure, args.structure, "structure")
     data = _read_data(args.data, "training data", structure.sensors)
     if len(data) == 0:
         raise InputError("training CSV has no data rows")
@@ -142,7 +156,7 @@ def cmd_learn(args) -> int:
 
 def cmd_compile_tree(args) -> int:
     _refuse_overwrite(args, "out")
-    net = model.load_network(_read(args.network, "network"))
+    net = _load(model.load_network, args.network, "network")
     emb = model.emb_table(net)
     iso = _build_isolation(net, args)
     with _open_out(args.out, "decision tree") as out:

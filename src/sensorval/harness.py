@@ -186,12 +186,11 @@ def split_dataset(data: Dataset, ratio: float, seed: int) -> tuple[Dataset, Data
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(data))
     cut = int(np.floor(ratio * len(data)))
-    # learning reads the training rows by column: gathered along the
-    # columns of the transpose, a column-major table (as generated) gives
-    # a column-major training part; validation reads the test rows whole
-    train = data.values.T.take(order[:cut], axis=1).T
-    return (Dataset(data.sensors, train),
-            Dataset(data.sensors, data.values[order[cut:]]))
+    # gathered along the columns of the transpose, a column-major table (as
+    # generated) gives column-major parts: learning reads the training part
+    # by column, and a test row reads as fast from either layout
+    return tuple(Dataset(data.sensors, data.values.T.take(rows, axis=1).T)
+                 for rows in (order[:cut], order[cut:]))
 
 
 # --- synthetic data ---------------------------------------------------------

@@ -87,16 +87,22 @@ class IsolationNet:
     the component's root mask, its faulty effects in order and the correct
     findings among the apparent faults its roots cause. Both store through
     ``model.remember``, which caps each at ``model.MEMO_CAP`` entries.
-    ``start`` is None until the first validation cycle on the network
-    (``anytime.run_anytime_validation``) sets it to the cycle's start
-    state: the no-finding posteriors as a list in ``sensors`` order and
-    the binary entropy of each. Cycles read it and never change it.
+    ``states`` is the table of the validation cycle
+    (``anytime.run_anytime_validation``) for the states at most one
+    finding from the start, keyed by their (faulty, correct) finding
+    bitmasks; each value is the posterior list in ``sensors`` order, the
+    binary entropy of each, and the quality. The first cycle on the
+    network stores (0, 0), the start state, and a cycle stores its first
+    step's state when the table lacks it; no entry changes once stored,
+    so the table holds at most 2 * len(sensors) + 1 entries. On a first
+    step found there, the step's ``belief_ms`` covers only the lookup, a
+    copy of the entropy list and the new ``pf`` dict.
     """
 
     __slots__ = ("sensors", "parents_of", "params", "priors", "index", "bit",
                  "prior", "ok_prior", "log_odds", "log_q", "parents",
                  "parent_mask", "child_mask", "linked_mask", "select_memo",
-                 "component_memo", "start")
+                 "component_memo", "states")
 
     def __init__(self, sensors: tuple[str, ...], parents_of: dict,
                  params: NoisyOrParams, priors: dict):
@@ -137,7 +143,7 @@ class IsolationNet:
                 self.linked_mask[j] |= self.child_mask[i]
         self.select_memo = {}
         self.component_memo = {}
-        self.start = None
+        self.states = {}
 
     def indices(self, sensors: Iterable[str]) -> list[int]:
         try:

@@ -18,9 +18,15 @@ settings.register_profile("tier1", derandomize=True, database=None)
 settings.load_profile("tier1")
 # Hypothesis also caches the literals it finds in local source files in its
 # home directory, ``.hypothesis/`` in the working directory by default; a
-# temporary one, removed at exit, keeps that cache out of the checkout too.
+# temporary one, removed when the session ends, keeps that cache out of the
+# checkout too.
 _HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="hypothesis-")
 set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
+
+
+def pytest_unconfigure(config):
+    _HYPOTHESIS_HOME.cleanup()
+
 
 # The worked-example EMB table the isolation model is built on.
 REFERENCE_EMB = {

@@ -968,7 +968,9 @@ class TestCycleMatchesPublicFunctions:
 
 class TestEntropyRefresh:
     """Each step refreshes the entropy of only the beliefs it moved,
-    starting from the network's no-finding beliefs (``iso.start``)."""
+    starting from the network's no-finding beliefs (entry (0, 0) of
+    ``iso.states``); a first step whose state is in ``iso.states``
+    refreshes none."""
 
     CRITERION = sv.DetectionCriterion("pvalue", 0.01)
 
@@ -978,13 +980,14 @@ class TestEntropyRefresh:
 
     def test_first_cycle_sets_the_start_state(self, ref):
         iso = network_copy(ref.iso)
-        assert iso.start is None
+        assert iso.states == {}
         reading = next(reference_readings(ref))
         next(self.cycle(ref, iso, reading))
-        beliefs, entropies = iso.start
+        beliefs, entropies, q = iso.states[0, 0]
         want = sv.fault_belief(iso, {})
         assert beliefs == list(want.values())
         assert entropies == [sv.binary_entropy(p) for p in beliefs]
+        assert q == sv.quality(want)
 
     def test_a_step_refreshes_only_the_moved_beliefs(self, tree21,
                                                      monkeypatch):
@@ -995,14 +998,23 @@ class TestEntropyRefresh:
         entropy = anytime.binary_entropy
         monkeypatch.setattr(anytime, "binary_entropy",
                             lambda p: calls.append(p) or entropy(p))
+        hits = 0
         for reading in readings:
-            last = dict(zip(iso.sensors, iso.start[0]))
+            last = dict(zip(iso.sensors, iso.states[0, 0][0]))
+            stored = set(iso.states)
             for rec in self.cycle(tree21, iso, reading):
                 moved = [p for s, p in rec.pf.items() if p != last[s]]
-                assert calls == moved
+                b = iso.bit[rec.sensor]
+                key = (b, 0) if rec.status == FAULTY else (0, b)
+                if rec.step == 1 and key in stored:
+                    assert calls == []
+                    hits += 1
+                else:
+                    assert calls == moved
                 assert len(moved) < len(iso.sensors)
                 calls.clear()
                 last = rec.pf
+        assert 0 < hits < len(readings)
 
     @pytest.mark.parametrize("tree_file", [None, "reference_full.tree.json"])
     def test_consumer_edits_reach_no_later_record(self, ref, tree_file):
@@ -1019,3 +1031,56 @@ class TestEntropyRefresh:
                     rec.pf[s] = 0.5
                 rec.pf["zz"] = 2.0
             assert edited == [(r.pf, r.quality) for r in clean]
+
+
+class TestFirstStepTable:
+    """``iso.states`` holds the start state and the states one finding
+    from it. A cycle that reads its first step from there yields the
+    records a fresh network yields, and neither a consumer's edit of
+    ``rec.pf`` nor a later step's entropy refresh reaches a stored entry."""
+
+    CRITERION = sv.DetectionCriterion("pvalue", 0.01)
+
+    @staticmethod
+    def fields(rec):
+        """Every field but the four clocks."""
+        return rec.step, rec.sensor, rec.status, list(rec.pf.items()), \
+            rec.quality
+
+    def check(self, bench, readings, tree_files):
+        iso = network_copy(bench.iso)
+        for tree in [None] + [sv.tree_from_json((FIXTURES / f).read_text())
+                              for f in tree_files]:
+            for reading in readings:
+                cold = [self.fields(rec) for rec in sv.run_anytime_validation(
+                    bench.net, bench.discretizer, network_copy(bench.iso),
+                    tree, reading, self.CRITERION)]
+                warm = []
+                for rec in sv.run_anytime_validation(
+                        bench.net, bench.discretizer, iso, tree, reading,
+                        self.CRITERION):
+                    warm.append(self.fields(rec))
+                    for s in rec.pf:
+                        rec.pf[s] = 0.5
+                    rec.pf["zz"] = 2.0
+                assert warm == cold
+        n = len(iso.sensors)
+        assert 2 < len(iso.states) <= 2 * n + 1
+        fresh = network_copy(bench.iso)
+        for (faulty, correct), (post, entropies, q) in iso.states.items():
+            assert not faulty & correct
+            assert (faulty | correct).bit_count() <= 1
+            want = isolation.noisy_or_root_posteriors(
+                fresh, faulty, correct).tolist()
+            assert post == want
+            assert entropies == [sv.binary_entropy(p) for p in want]
+            assert q == sv.quality(dict(zip(iso.sensors, want)))
+
+    def test_reference_readings(self, ref):
+        self.check(ref, list(reference_readings(ref)),
+                   ["reference_full.tree.json", "reference_pruned.tree.json"])
+
+    def test_tree21_readings(self, tree21):
+        readings = workloads.tree21_readings(tree21, 0, 1)
+        assert len(readings) == 84
+        self.check(tree21, readings, ["tree21_pvalue001.tree.json"])

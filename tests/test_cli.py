@@ -256,19 +256,28 @@ def test_malformed_tree_is_an_input_error(tmp_path, capsys, document):
         assert f"decision tree {path}" in err
 
 
-def run_with_document(tmp_path, capsys, argv, document):
+def run_with_document(tmp_path, capsys, argv, document, what):
     """Run the CLI with ``argv`` plus a file holding ``document`` as the
-    last option's value; returns the exit status and standard error."""
+    last option's value. Returns the exit status and standard error, the
+    file's path written as <path>, after checking that the error names
+    the ``what`` file and that nothing went to standard output."""
     path = tmp_path / "doc.json"
     path.write_text(document)
     rc = main([*argv, str(path)])
-    return rc, capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.replace(str(path), "<path>")
+    assert f"error: {what} <path>: " in err
+    return rc, err
 
 
-# nested deeper than the JSON decoder recurses: refused, not a RecursionError
-DEEP = pytest.param("[" * 100_000,
-                    "error: 'document' must be JSON (RecursionError(",
-                    id="deep-nesting")
+def deep(what):
+    """A document nested deeper than the JSON decoder recurses: refused,
+    not a RecursionError."""
+    return pytest.param(
+        "[" * 100_000,
+        f"error: {what} <path>: 'document' must be JSON (RecursionError(",
+        id="deep-nesting")
 
 
 def reference_net_with(change) -> str:
@@ -313,7 +322,8 @@ def reference_net_with(change) -> str:
     pytest.param(
         reference_net_with(lambda doc: doc["edges"].append(["m", "zz"])),
         # printed without KeyError's quotes
-        "error: unknown variable 'zz'\n", id="unknown-edge-end"),
+        "error: network <path>: unknown variable 'zz'\n",
+        id="unknown-edge-end"),
     pytest.param(
         reference_net_with(lambda doc: doc["cpts"]["m"].update(
             table=doc["cpts"]["m"]["table"][0])),
@@ -323,11 +333,11 @@ def reference_net_with(change) -> str:
             doc["cpts"]["m"]["table"][0])),
         "CPT for 'm' has shape (2, 10), expected (1, 10)",
         id="cpt-shape"),
-    DEEP])
+    deep("network")])
 def test_malformed_network_is_an_input_error(tmp_path, capsys, document, part):
     rc, err = run_with_document(
         tmp_path, capsys, ["validate", "--discretizer", DISC, "--data",
-                           READINGS, "--network"], document)
+                           READINGS, "--network"], document, "network")
     assert rc == 2 and part in err and "runtime error" not in err
 
 
@@ -338,14 +348,24 @@ def test_malformed_network_is_an_input_error(tmp_path, capsys, document, part):
     ('{"variables": [["a"]], "edges": []}', "'variables'"),
     ('{"variables": ["a", "g"], "edges": [["a", "g"], ["a", "g"]]}',
      "edge 'a' -> 'g' is listed twice"),
-    DEEP])
+    deep("structure")])
 def test_malformed_structure_is_an_input_error(tmp_path, capsys, document,
                                                part):
     rc, err = run_with_document(
         tmp_path, capsys, ["learn", "--data", READINGS, "--out",
-                           str(tmp_path / "net.json"), "--structure"], document)
+                           str(tmp_path / "net.json"), "--structure"], document,
+        "structure")
     assert rc == 2 and part in err and "runtime error" not in err
     assert not (tmp_path / "net.json").exists()
+
+
+def test_compile_tree_names_a_malformed_network(tmp_path, capsys):
+    out = tmp_path / "tree.json"
+    rc, err = run_with_document(
+        tmp_path, capsys, ["compile-tree", "--out", str(out), "--network"],
+        '{"variables": 5, "edges": [], "cpts": {}}', "network")
+    assert rc == 2 and "'variables' must be" in err
+    assert not out.exists()
 
 
 def test_repeated_csv_column_is_an_input_error(tmp_path, capsys):
@@ -396,14 +416,14 @@ def test_huge_reading_is_validated(tmp_path, capsys):
      "zero-width range for sensor 'a'"),
     pytest.param(json.dumps({"bins": 10, "bounds": {
         s: b for s, b in json.loads(Path(DISC).read_text())["bounds"].items()
-        if s != "t"}}), "discretizer is missing sensors ['t']",
+        if s != "t"}}), "error: discretizer <path>: missing sensors ['t']\n",
         id="missing-sensor"),
-    DEEP])
+    deep("discretizer")])
 def test_malformed_discretizer_is_an_input_error(tmp_path, capsys, document,
                                                  part):
     rc, err = run_with_document(
         tmp_path, capsys, ["validate", "--network", NET, "--data", READINGS,
-                           "--discretizer"], document)
+                           "--discretizer"], document, "discretizer")
     assert rc == 2 and part in err and "runtime error" not in err
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import sensorval as sv
-from sensorval import detection
+from sensorval import benchmarks, detection
 from sensorval.benchmarks import tree21_benchmark
 from sensorval.detection import Discretizer
 from sensorval.inference import InconsistentEvidenceError
@@ -147,6 +147,25 @@ class TestDataBuild:
             assert np.array_equal(part.values, data.values[rows])
             assert [part.row(i) for i in range(len(part))] == [
                 dict(zip(data.sensors, data.values[k].tolist())) for k in rows]
+
+    @pytest.mark.parametrize("structure, data_seed", [
+        (sv.reference_structure(), benchmarks.REFERENCE_DATA_SEED),
+        (sv.random_tree_structure(21, seed=benchmarks.TREE21_STRUCTURE_SEED),
+         benchmarks.TREE21_DATA_SEED)], ids=["ref5", "tree21"])
+    def test_benchmark_split_equals_the_row_gather(self, structure,
+                                                   data_seed):
+        # the tables the reference and tree21 benchmarks split
+        data = sv.generate_synthetic_dataset(
+            structure, benchmarks.N_ROWS, benchmarks.NOISE, data_seed)
+        parts = sv.split_dataset(data, benchmarks.SPLIT_RATIO,
+                                 benchmarks.SPLIT_SEED)
+        order = np.random.default_rng(benchmarks.SPLIT_SEED).permutation(
+            len(data))
+        cut = int(np.floor(benchmarks.SPLIT_RATIO * len(data)))
+        for part, rows in zip(parts, (order[:cut], order[cut:])):
+            assert part.sensors == data.sensors
+            assert np.ascontiguousarray(part.values).tobytes() == \
+                data.values[rows].tobytes()
 
     @pytest.mark.parametrize("structure", [
         sv.reference_structure(), sv.random_tree_structure(21, seed=21)])
