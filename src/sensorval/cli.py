@@ -2,21 +2,21 @@
 
 Validation steps stream as JSON lines flushed per step, so a consumer can
 act on partial results at any moment. All randomness flows from --seed.
-Exit codes: 0 success, 2 input error, 1 runtime error. Input is checked
-where it enters: a bad file, CSV, option value, structure or decision
-tree, an input file that cannot be read as text, or an output path that
-cannot be written or names an input or the other output raises InputError
-(or DiscretizerError, for network states that are not interval codes);
-the error of a bad network, discretizer, structure or tree document names
-its file. Any other exception, a KeyError or ValueError included, is a
-runtime error. Outputs are opened once the inputs are checked, before the
-work, so a bad output path costs no work; one that names an input is
-refused before any read.
+Exit codes: 0 success, 2 input error, 1 runtime error. ``_load`` reads,
+parses and checks every input file: an unreadable file, a malformed
+document or CSV, a discretizer that cannot code the network (the error
+names both files) or a tree that does not fit it raises an InputError
+that starts with the file; a bad option value, one that starts with the
+option. Any other exception, a KeyError or ValueError included, is a
+runtime error. An output path that names an input is refused before any
+read; every input is checked (``learn`` fits its discretizer) before an
+output opens, and outputs open before the work, so a bad one costs none.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 import time
@@ -33,9 +33,11 @@ class InputError(Exception):
     pass
 
 
-def _read(path: str, what: str) -> str:
+def _load(parse, path: str, what: str):
+    """``parse`` of the text of the ``what`` file at ``path``; an unreadable
+    file, or a NetworkError or ValueError from ``parse``, is an InputError."""
     try:
-        return Path(path).read_text()
+        text = Path(path).read_text()
     except FileNotFoundError:
         raise InputError(f"{what} file not found: {path}") from None
     except OSError as exc:
@@ -44,15 +46,9 @@ def _read(path: str, what: str) -> str:
     except UnicodeDecodeError as exc:
         raise InputError(f"{what} file {path} is not {exc.encoding} text: "
                          f"{exc.reason} at byte {exc.start}") from None
-
-
-def _load(load, path: str, what: str):
-    """``load`` of the text of the ``what`` file at ``path``; a defect in the
-    document raises InputError naming the file."""
-    document = _read(path, what)
     try:
-        return load(document)
-    except (model.NetworkError, detection.DiscretizerError) as exc:
+        return parse(text)
+    except (model.NetworkError, ValueError) as exc:
         raise InputError(f"{what} {path}: {exc}") from None
 
 
@@ -79,51 +75,16 @@ def _refuse_overwrite(args, *outputs: str) -> None:
                              f"{path}")
 
 
-def _read_data(path: str, what: str, sensors) -> harness.Dataset:
-    """The CSV at ``path``, with a column for every one of ``sensors``."""
-    text = _read(path, what)
-    try:
-        data = harness.Dataset.from_csv(text)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+def _readings(text: str, sensors, rows: bool = False) -> harness.Dataset:
+    """The CSV in ``text``, with a column for every one of ``sensors`` and,
+    when ``rows``, at least one data row."""
+    data = harness.Dataset.from_csv(text)
     missing = [s for s in sensors if s not in data.sensors]
     if missing:
-        raise InputError(f"{what} CSV is missing columns {missing}")
+        raise ValueError(f"missing columns {missing}")
+    if rows and len(data) == 0:
+        raise ValueError("no data rows")
     return data
-
-
-def _criterion(args) -> detection.DetectionCriterion:
-    kind = args.criterion
-    parameter = {"sigma": args.k, "pvalue": args.p, "tau": args.tau}[kind]
-    try:
-        return detection.DetectionCriterion(kind, parameter)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
-
-
-def _load_model(args):
-    net = _load(model.load_network, args.network, "network")
-    disc = _load(detection.discretizer_from_json, args.discretizer,
-                 "discretizer")
-    missing = [s for s in net.names() if s not in disc.bounds]
-    if missing:
-        raise InputError(f"discretizer {args.discretizer}: missing sensors "
-                         f"{missing}")
-    for s in net.names():   # refuses state labels that are not interval codes
-        detection.blanket_kernel(net, s, disc.bins)
-    return net, disc
-
-
-def _load_tree(args, iso) -> anytime.DecisionTree | None:
-    if not args.tree:
-        return None
-    document = _read(args.tree, "decision tree")
-    try:
-        tree = anytime.tree_from_json(document)
-        tree.check(iso.sensors)
-    except ValueError as exc:            # a malformed document or a bad sensor
-        raise InputError(f"decision tree {args.tree}: {exc}") from None
-    return tree
 
 
 def _build_isolation(net, args) -> isolation.IsolationNet:
@@ -131,21 +92,65 @@ def _build_isolation(net, args) -> isolation.IsolationNet:
         return isolation.build_isolation_network(
             model.emb_table(net), link_strength=args.c, prior=args.prior)
     except ValueError as exc:            # --c or --prior out of range
-        raise InputError(str(exc)) from None
+        raise InputError(f"--c {args.c}, --prior {args.prior}: "
+                         f"{exc}") from None
+
+
+def _load_inputs(args, what: str, rows: bool = False):
+    """The network, discretizer, isolation network, decision tree (None
+    without ``--tree``), ``what`` CSV (with data rows when ``rows``) and
+    criterion of ``validate``, ``simulate`` or ``compare``, each checked."""
+    _refuse_overwrite(args, "out")
+    net = _load(model.load_network, args.network, "network")
+
+    def parse_discretizer(text):
+        disc = detection.discretizer_from_json(text)
+        missing = [s for s in net.names() if s not in disc.bounds]
+        if missing:
+            raise ValueError(f"missing sensors {missing}")
+        try:   # refuses state labels that are not interval codes
+            for s in net.names():
+                detection.blanket_kernel(net, s, disc.bins)
+        except detection.DiscretizerError as exc:
+            raise ValueError(f"network {args.network}: {exc}") from None
+        return disc
+
+    def parse_tree(text):
+        tree = anytime.tree_from_json(text)
+        tree.check(iso.sensors)         # a sensor unknown or met twice
+        return tree
+
+    disc = _load(parse_discretizer, args.discretizer, "discretizer")
+    iso = _build_isolation(net, args)
+    tree = (_load(parse_tree, args.tree, "decision tree")
+            if getattr(args, "tree", None) else None)
+    data = _load(lambda text: _readings(text, net.names(), rows), args.data,
+                 what)
+    flag = {"sigma": "k", "pvalue": "p", "tau": "tau"}[args.criterion]
+    value = getattr(args, flag)
+    try:
+        criterion = detection.DetectionCriterion(args.criterion, value)
+    except ValueError as exc:
+        raise InputError(f"--{flag} {value}: {exc}") from None
+    return net, disc, iso, tree, data, criterion
 
 
 def cmd_learn(args) -> int:
     if not args.discretizer:
         args.discretizer = str(Path(args.out).with_suffix(".disc.json"))
+    if args.bins < 2:
+        raise InputError("--bins must be at least 2")
     _refuse_overwrite(args, "out", "discretizer")
     structure = _load(model.load_structure, args.structure, "structure")
-    data = _read_data(args.data, "training data", structure.sensors)
-    if len(data) == 0:
-        raise InputError("training CSV has no data rows")
+
+    def fit(text):
+        data = _readings(text, structure.sensors, rows=True)
+        return data, detection.fit_discretizer(data, structure.sensors,
+                                               bins=args.bins)
+
+    data, disc = _load(fit, args.data, "training data")
     with _open_out(args.out, "network") as net_out, \
             _open_out(args.discretizer, "discretizer") as disc_out:
-        disc = detection.fit_discretizer(data, structure.sensors,
-                                         bins=args.bins)
         net = harness.learn_parameters(structure, disc, data)
         net_out.write(model.save_network(net))
         disc_out.write(detection.discretizer_to_json(disc))
@@ -172,35 +177,23 @@ def cmd_compile_tree(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    _refuse_overwrite(args, "out")
-    net, disc = _load_model(args)
-    iso = _build_isolation(net, args)
-    tree = _load_tree(args, iso)
-    data = _read_data(args.data, "readings", net.names())
-    criterion = _criterion(args)
-    out = _open_out(args.out, "steps") if args.out else sys.stdout
-    try:
+    net, disc, iso, tree, data, criterion = _load_inputs(args, "readings")
+    with (_open_out(args.out, "steps") if args.out
+          else contextlib.nullcontext(sys.stdout)) as out:
         for reading in data.rows():
             for record in anytime.run_anytime_validation(
                     net, disc, iso, tree, reading, criterion):
                 out.write(record.to_json() + "\n")
                 out.flush()
-    finally:
-        if args.out:
-            out.close()
     return EXIT_OK
 
 
 def cmd_simulate(args) -> int:
     # checked here, not per record, so a CSV without rows is refused too
     if not 0.0 < args.declare < 1.0:
-        raise InputError("declaration threshold must lie in (0, 1)")
-    _refuse_overwrite(args, "out")
-    net, disc = _load_model(args)
-    iso = _build_isolation(net, args)
-    tree = _load_tree(args, iso)
-    data = _read_data(args.data, "test data", net.names())
-    criterion = _criterion(args)
+        raise InputError(f"--declare {args.declare}: declaration threshold "
+                         "must lie in (0, 1)")
+    net, disc, iso, tree, data, criterion = _load_inputs(args, "test data")
     severities = (args.severity,) if args.severity else (harness.SEVERE,
                                                          harness.MILD)
     records = []
@@ -235,13 +228,8 @@ def cmd_compare(args) -> int:
         raise InputError("--experiments must be at least 1")
     if args.seed < 0:
         raise InputError("--seed must not be negative")
-    _refuse_overwrite(args, "out")
-    net, disc = _load_model(args)
-    iso = _build_isolation(net, args)
-    data = _read_data(args.data, "test data", net.names())
-    if len(data) == 0:
-        raise InputError("test CSV has no data rows")
-    criterion = _criterion(args)
+    net, disc, iso, _, data, criterion = _load_inputs(args, "test data",
+                                                      rows=True)
     with _open_out(args.out, "profile") as out:
         entropy_q, random_q = harness.compare_selection_policies(
             net, disc, iso, data, args.experiments, args.seed,
@@ -338,7 +326,7 @@ def main(argv=None) -> int:
         # anytime contract working, not a failure
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_OK
-    except (InputError, model.NetworkError, detection.DiscretizerError) as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except Exception as exc:  # noqa: BLE001 - runtime failures get exit 1

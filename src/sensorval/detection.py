@@ -36,6 +36,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import sys
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -80,8 +81,9 @@ class Discretizer:
                                        f"{[lo, hi]!r}")
             if not lo < hi:
                 raise DiscretizerError(f"zero-width range for sensor {s!r}")
-            # ``index`` scales by bins * (x - lo) / (hi - lo)
-            if not math.isfinite(self.bins * (hi - lo)):
+            # ``index`` scales by bins * (x - lo) / (hi - lo), in floats
+            if not (self.bins <= sys.float_info.max
+                    and math.isfinite(self.bins * (hi - lo))):
                 raise DiscretizerError(f"sensor {s!r} has a range {[lo, hi]!r} "
                                        f"too wide for {self.bins} intervals")
 
@@ -130,8 +132,15 @@ def discretizer_from_json(document: str) -> Discretizer:
     with malformed_part(DiscretizerError, "bins", "an integer"):
         bins = doc["bins"]
     with malformed_part(DiscretizerError, "bounds", "{sensor: [lower, upper]}"):
-        bounds = {s: (float(lo), float(hi)) for s, (lo, hi) in doc["bounds"].items()}
+        bounds = {s: (_number(lo), _number(hi)) for s, (lo, hi) in doc["bounds"].items()}
     return Discretizer(bins, bounds)
+
+
+def _number(value) -> float:
+    """``value`` if it is a JSON number; read inside ``malformed_part``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{value!r} is not a number")
+    return float(value)
 
 
 def fit_discretizer(data: Dataset, sensors: Sequence[str],

@@ -139,6 +139,8 @@ class ErrorReport:
         return buf.getvalue()
 
     def rate(self, criterion_label: str, severity: str, kind: str) -> float:
+        if kind not in ("type1", "type2"):
+            raise ValueError(f"unknown error kind {kind!r}")
         for (label, sev, _t1c, _t1n, t1r, _t2c, _t2n, t2r) in self.entries:
             if label == criterion_label and sev == severity:
                 return t1r if kind == "type1" else t2r

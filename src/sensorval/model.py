@@ -287,10 +287,10 @@ def save_network(net: BayesNet) -> str:
 @contextmanager
 def malformed_part(error: type, part: str, shape: str):
     """Raise ``error`` naming ``part`` when reading it here finds a wrong
-    shape, or nesting too deep for the JSON decoder."""
+    shape, a number too large, or nesting too deep for the JSON decoder."""
     try:
         yield
-    except (TypeError, ValueError, KeyError, AttributeError,
+    except (TypeError, ValueError, KeyError, AttributeError, OverflowError,
             RecursionError) as exc:
         raise error(f"{part!r} must be {shape} ({exc!r})") from None
 

@@ -46,7 +46,8 @@ class TestLearn:
         rc = main(["learn", "--structure", STRUCTURE, "--data", str(data),
                    "--out", str(tmp_path / "net.json")])
         assert rc == 2
-        assert "no data rows" in capsys.readouterr().err
+        assert (f"error: training data {data}: no data rows\n"
+                == capsys.readouterr().err)
 
     def test_unknown_column(self, tmp_path, train_csv, capsys):
         structure = tmp_path / "structure.json"
@@ -55,7 +56,29 @@ class TestLearn:
         rc = main(["learn", "--structure", str(structure), "--data", train_csv,
                    "--out", str(tmp_path / "net.json")])
         assert rc == 2
-        assert "zz" in capsys.readouterr().err
+        assert (f"error: training data {train_csv}: missing columns ['zz']\n"
+                == capsys.readouterr().err)
+
+    @pytest.mark.parametrize("bins, constant, message", [
+        ("1", False, "error: --bins must be at least 2\n"),
+        ("10", True, "error: training data <data>: sensor 'g' is constant in "
+                     "training data\n")])
+    def test_inputs_are_checked_before_an_output_opens(
+            self, tmp_path, train_csv, capsys, bins, constant, message):
+        data = Path(train_csv)
+        if constant:
+            table = sv.Dataset.from_csv(data.read_text())
+            table.values[:, table.sensors.index("g")] = 1.0
+            data.write_text(table.to_csv())
+        out = tmp_path / "net.json"
+        out.write_text("kept")
+        rc = main(["learn", "--structure", STRUCTURE, "--data", str(data),
+                   "--out", str(out), "--bins", bins])
+        assert rc == 2
+        assert capsys.readouterr().err == message.replace("<data>", str(data))
+        assert out.read_text() == "kept"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["net.json",
+                                                              "train.csv"]
 
     def test_one_path_for_both_outputs(self, tmp_path, train_csv, capsys,
                                        monkeypatch):
@@ -155,7 +178,8 @@ class TestValidate:
         rc = main(["validate", "--network", NET, "--discretizer", DISC,
                    "--data", str(data)])
         assert rc == 2
-        assert "t" in capsys.readouterr().err
+        assert (f"error: readings {data}: missing columns ['t']\n"
+                == capsys.readouterr().err)
 
     def test_consumer_may_stop_reading(self, tmp_path):
         """A consumer that reads the first step and closes the stream leaves
@@ -377,7 +401,8 @@ def test_repeated_csv_column_is_an_input_error(tmp_path, capsys):
     rc = main(["validate", "--network", NET, "--discretizer", DISC,
                "--data", str(data), "--out", str(out)])
     assert rc == 2
-    assert "column 'g' appears twice" in capsys.readouterr().err
+    assert (f"error: readings {data}: column 'g' appears twice"
+            in capsys.readouterr().err)
     assert not out.exists()
 
 
@@ -414,6 +439,17 @@ def test_huge_reading_is_validated(tmp_path, capsys):
     ('{"bins": 10, "bounds": {"a": [-1e308, 1e308]}}', "sensor 'a'"),
     ('{"bins": 10, "bounds": {"a": [1, 1]}}',
      "zero-width range for sensor 'a'"),
+    # bounds are a JSON array of two numbers, nothing that unpacks to two
+    ('{"bins": 10, "bounds": {"a": "05"}}', "'bounds'"),
+    ('{"bins": 10, "bounds": {"a": {"0": 7, "2": 8}}}', "'bounds'"),
+    ('{"bins": 10, "bounds": {"a": [false, true]}}', "'bounds'"),
+    ('{"bins": 10, "bounds": {"a": ["0", "1e1"]}}', "'bounds'"),
+    # integers too large for a float
+    pytest.param('{"bins": 10, "bounds": {"a": [0, 1%s]}}' % ("0" * 400),
+                 "'bounds'", id="huge-integer-bound"),
+    pytest.param('{"bins": 1%s, "bounds": {"a": [0, 1]}}' % ("0" * 400),
+                 "sensor 'a' has a range [0.0, 1.0] too wide for 1",
+                 id="huge-integer-bins"),
     pytest.param(json.dumps({"bins": 10, "bounds": {
         s: b for s, b in json.loads(Path(DISC).read_text())["bounds"].items()
         if s != "t"}}), "error: discretizer <path>: missing sensors ['t']\n",
@@ -443,7 +479,10 @@ def test_states_the_discretizer_cannot_code_are_refused_before_any_output(
                "--data", READINGS, *(["--out", str(out)] if writes else [])])
     captured = capsys.readouterr()
     assert rc == 2 and captured.out == ""
-    assert "variable 'p' has states" in captured.err
+    # the error names both files
+    assert captured.err.startswith(
+        f"error: discretizer {DISC}: network {network}: variable 'p' has "
+        "states")
     assert not out.exists()
 
 
@@ -608,6 +647,8 @@ class TestSimulateAndCompare:
                    "--data", str(data), "--experiments", "2",
                    "--out", str(tmp_path / "p.csv")])
         assert rc == 2
+        assert (f"error: test data {data}: no data rows\n"
+                == capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("rows", [0, 2])
@@ -619,7 +660,8 @@ def test_simulate_refuses_a_bad_threshold(tmp_path, capsys, rows):
     rc = main(["simulate", "--network", NET, "--discretizer", DISC,
                "--data", str(data), "--declare", "1.5", "--out", str(out)])
     assert rc == 2
-    assert "declaration threshold must lie in (0, 1)" in capsys.readouterr().err
+    assert ("error: --declare 1.5: declaration threshold must lie in (0, 1)"
+            in capsys.readouterr().err)
     assert not out.exists()
 
 
@@ -634,10 +676,13 @@ def run_refused(tmp_path, capsys, argv, message):
 
 @pytest.mark.parametrize("command", ["validate", "simulate", "compare"])
 @pytest.mark.parametrize("option, value, message", [
-    ("--k", "inf", "sigma criterion parameter inf is not finite"),
-    ("--k", "0", "sigma criterion needs k > 0"),
-    ("--c", "1", "link strength must lie in (0, 1)"),
-    ("--prior", "0", "prior must lie in (0, 1)")])
+    ("--k", "inf", "error: --k inf: sigma criterion parameter inf is not "
+                   "finite\n"),
+    ("--k", "0", "error: --k 0.0: sigma criterion needs k > 0\n"),
+    ("--c", "1", "error: --c 1.0, --prior 0.5: link strength must lie in "
+                 "(0, 1)\n"),
+    ("--prior", "0", "error: --c 0.99, --prior 0.0: prior must lie in "
+                     "(0, 1)\n")])
 def test_bad_parameter_is_an_input_error(tmp_path, capsys, command, option,
                                          value, message):
     run_refused(tmp_path, capsys,
@@ -689,7 +734,7 @@ def test_bad_csv_row_is_an_input_error(tmp_path, capsys, command, row,
              else ["--network", NET, "--discretizer", DISC])
     rc = main([command, *model, "--data", str(data), "--out", str(out)])
     assert rc == 2
-    assert message in capsys.readouterr().err
+    assert f"{data}: {message}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -720,7 +765,7 @@ def test_unreadable_input_or_unwritable_output_is_an_input_error(
 
 
 @pytest.mark.parametrize("command, work", [
-    ("learn", "detection.fit_discretizer"),
+    ("learn", "harness.learn_parameters"),
     ("compile-tree", "anytime.compile_decision_tree"),
     ("validate", "anytime.run_anytime_validation"),
     ("simulate", "harness.run_fault_experiments"),

@@ -630,6 +630,13 @@ class TestEvaluateErrors:
         with pytest.raises(ValueError):
             sv.evaluate_errors([])
 
+    def test_rate_refuses_an_unknown_kind(self):
+        crit = sv.DetectionCriterion("sigma", 3.0)
+        report = sv.evaluate_errors(
+            [self.fake_record(sv.FaultSpec("a", "severe"), {"b"}, crit)])
+        with pytest.raises(ValueError, match="unknown error kind 'type_1'"):
+            report.rate(criterion_label(crit), "severe", "type_1")
+
     def test_csv_shape(self):
         crit = sv.DetectionCriterion("sigma", 3.0)
         report = sv.evaluate_errors(
