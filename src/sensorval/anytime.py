@@ -11,7 +11,7 @@ import json
 import math
 import time
 from dataclasses import asdict, dataclass
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from .detection import DetectionCriterion, Discretizer, validate_sensor
 from .isolation import (CORRECT, FAULTY, IsolationNet, _indices,
                         candidate_scores, fault_belief,  # noqa: F401
                         _finding_masks, noisy_or_root_posteriors)
-from .model import BayesNet, EmbTable, _name, remember
+from .model import BayesNet, EmbTable, _name, malformed_part, remember
 
 
 def binary_entropy(p: float) -> float:
@@ -150,8 +150,10 @@ def tree_from_json(document: str) -> DecisionTree:
     def decode(obj):
         return None if obj is None else TreeNode(
             _name(obj["sensor"]), decode(obj["faulty"]), decode(obj["ok"]))
+    with malformed_part(ValueError, "document", "JSON"):
+        doc = json.loads(document)
     try:
-        return DecisionTree(decode(json.loads(document)))
+        return DecisionTree(decode(doc))
     except (KeyError, TypeError, RecursionError) as exc:
         raise ValueError('not nested {"sensor", "faulty", "ok"} objects '
                          f"({exc!r})") from None
@@ -237,15 +239,15 @@ def prune_single_fault(tree: DecisionTree, emb: EmbTable) -> DecisionTree:
 
 # --- the validation cycle ---------------------------------------------------
 
-@dataclass(frozen=True)
-class StepRecord:
+class StepRecord(NamedTuple):
     """One validated sensor: the finding, the refreshed beliefs, and quality.
 
     ``elapsed_ms`` is the library time in this cycle up to this step; the
     step's own library time is split into ``select_ms`` (online selection,
     0 on a tree walk), ``detect_ms`` (validating the sensor) and
     ``belief_ms`` (posteriors, ``pf``, the entropies of the beliefs that
-    moved and ``quality``). ``to_json`` leaves the three out.
+    moved and ``quality``). ``to_json`` leaves the three out. A named
+    tuple, so that a step costs no per-field ``object.__setattr__``.
     """
 
     step: int
@@ -292,19 +294,22 @@ def run_anytime_validation(
     from the network's no-finding beliefs (entry (0, 0) of ``iso.states``,
     computed by the first cycle on the network, outside its clock). The
     first step reads its state from ``iso.states`` too, computing and
-    storing it when the table lacks it; on a hit its ``belief_ms`` covers
-    only the lookup, a copy of the entropy list and the new ``pf`` dict.
+    storing it when the table lacks it. An entry holds the posteriors,
+    their entropies, the quality and the ``pf`` dict; on a hit the step's
+    ``belief_ms`` covers only the lookup and a copy of the entropy list
+    and of the stored ``pf``, so the consumer owns the dict it is given.
     """
     start = iso.states.get((0, 0))
     if start is None:
         post = noisy_or_root_posteriors(iso, 0, 0).tolist()
         entropies = [binary_entropy(p) for p in post]
         start = iso.states[0, 0] = (
-            post, entropies, 1.0 - sum(entropies) / len(entropies))
+            post, entropies, 1.0 - sum(entropies) / len(entropies),
+            dict(zip(iso.sensors, post)))
     # the last posteriors and their entropies; a step refreshes the
     # entropy of only the roots whose posterior it changed, on its own
     # copy of the list from the first step on
-    last, entropies, _ = start
+    last, entropies, _, _ = start
     # library time only: the clock stops at each yield
     clock = time.perf_counter
     busy = 0.0
@@ -344,13 +349,15 @@ def run_anytime_validation(
                     entropies[i] = binary_entropy(p)
             # quality(pf), summed in the same order
             q = 1.0 - sum(entropies) / len(entropies)
+            pf = dict(zip(iso.sensors, post))
             if not step:
-                iso.states[faulty, correct] = post, entropies.copy(), q
+                iso.states[faulty, correct] = (post, entropies.copy(), q,
+                                               pf.copy())
         else:
-            post, entropies, q = state
+            post, entropies, q, pf = state
             entropies = entropies.copy()
+            pf = pf.copy()
         last = post
-        pf = dict(zip(iso.sensors, post))
         step += 1
         done = clock()
         busy += done - resumed

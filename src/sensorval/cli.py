@@ -107,7 +107,8 @@ def _load_inputs(args, what: str, rows: bool = False):
         disc = detection.discretizer_from_json(text)
         missing = [s for s in net.names() if s not in disc.bounds]
         if missing:
-            raise ValueError(f"missing sensors {missing}")
+            raise ValueError(
+                f"missing sensors {missing} of network {args.network}")
         try:   # refuses state labels that are not interval codes
             for s in net.names():
                 detection.blanket_kernel(net, s, disc.bins)

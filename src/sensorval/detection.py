@@ -41,14 +41,14 @@ from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .inference import (_EVIDENCE_EPS, Distribution,
                         InconsistentEvidenceError, posterior_marginal)
-from .model import (BayesNet, json_object, malformed_part, markov_blanket,
-                    remember)
+from .model import (BayesNet, _number, json_object, malformed_part,
+                    markov_blanket, remember)
 
 if TYPE_CHECKING:
     from .harness import Dataset
@@ -134,13 +134,6 @@ def discretizer_from_json(document: str) -> Discretizer:
     with malformed_part(DiscretizerError, "bounds", "{sensor: [lower, upper]}"):
         bounds = {s: (_number(lo), _number(hi)) for s, (lo, hi) in doc["bounds"].items()}
     return Discretizer(bins, bounds)
-
-
-def _number(value) -> float:
-    """``value`` if it is a JSON number; read inside ``malformed_part``."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"{value!r} is not a number")
-    return float(value)
 
 
 def fit_discretizer(data: Dataset, sensors: Sequence[str],
@@ -259,8 +252,10 @@ def _tail(p: np.ndarray, deviations: np.ndarray, radius):
     return np.add.reduce(p * (deviations >= radius), axis=-1)
 
 
-@dataclass(frozen=True)
-class ApparentStatus:
+class ApparentStatus(NamedTuple):
+    """A sensor's validation verdict; a named tuple, so that making one
+    costs no per-field ``object.__setattr__``."""
+
     sensor: str
     faulty: bool
 

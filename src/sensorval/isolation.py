@@ -91,12 +91,14 @@ class IsolationNet:
     (``anytime.run_anytime_validation``) for the states at most one
     finding from the start, keyed by their (faulty, correct) finding
     bitmasks; each value is the posterior list in ``sensors`` order, the
-    binary entropy of each, and the quality. The first cycle on the
-    network stores (0, 0), the start state, and a cycle stores its first
-    step's state when the table lacks it; no entry changes once stored,
-    so the table holds at most 2 * len(sensors) + 1 entries. On a first
-    step found there, the step's ``belief_ms`` covers only the lookup, a
-    copy of the entropy list and the new ``pf`` dict.
+    binary entropy of each, the quality, and the ``pf`` dict of the
+    posteriors in ``sensors`` order, built once when the entry is stored.
+    The first cycle on the network stores (0, 0), the start state, and a
+    cycle stores its first step's state when the table lacks it; no entry
+    changes once stored, so the table holds at most 2 * len(sensors) + 1
+    entries. On a first step found there, the step's ``belief_ms`` covers
+    only the lookup and a copy of the entropy list and of the stored
+    ``pf``; the step yields the copy.
     """
 
     __slots__ = ("sensors", "parents_of", "params", "priors", "index", "bit",

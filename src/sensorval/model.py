@@ -311,6 +311,22 @@ def _name(value) -> str:
     return value
 
 
+def _number(value) -> float:
+    """``value`` if it is a JSON number; read inside ``malformed_part``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{value!r} is not a number")
+    return float(value)
+
+
+def _numbers(value) -> np.ndarray:
+    """``value``, nested lists of JSON numbers, as a float array; read
+    inside ``malformed_part``."""
+    table = np.asarray(value, dtype=object)
+    for x in table.flat:
+        _number(x)
+    return table.astype(float)
+
+
 def load_network(document: str) -> BayesNet:
     """Parse a network JSON document; raises NetworkError subclasses on defects."""
     doc = json_object(document, NetworkError)
@@ -321,7 +337,7 @@ def load_network(document: str) -> BayesNet:
         edges = [(_name(p), _name(c)) for p, c in doc["edges"]]
     with malformed_part(NetworkError, "cpts", "{child: {parents, table}}"):
         cpts = {c: Cpt(c, tuple(map(_name, e["parents"])),
-                       np.asarray(e["table"], dtype=float))
+                       _numbers(e["table"]))
                 for c, e in doc["cpts"].items()}
     return BayesNet(variables, edges, cpts)
 

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import json
 import math
@@ -839,6 +840,23 @@ class TestRunAnytimeValidation:
         assert doc["status"] in ("correct", "faulty")
         assert set(doc["pf"]) == set(ref.iso.sensors)
 
+    def test_records_are_immutable_and_equal_by_field(self, ref):
+        crit = sv.DetectionCriterion("sigma", 3.0)
+        reading = ref.test.row(0)
+        record = next(sv.run_anytime_validation(
+            ref.net, ref.discretizer, ref.iso, None, reading, crit))
+        status = sv.validate_sensor(ref.net, ref.discretizer, reading,
+                                    record.sensor, crit)
+        assert status.status == record.status
+        for rec in (record, status):
+            for field in rec._fields + ("extra",):
+                with pytest.raises(AttributeError):
+                    setattr(rec, field, None)
+        assert record == sv.StepRecord(**record._asdict())
+        assert record != record._replace(quality=record.quality + 1.0)
+        assert status == sv.ApparentStatus(status.sensor, status.faulty)
+        assert status != sv.ApparentStatus(status.sensor, not status.faulty)
+
 
 def reference_readings(ref):
     """The 440 readings of ``fixtures/reference_readings.csv``: each row,
@@ -983,11 +1001,12 @@ class TestEntropyRefresh:
         assert iso.states == {}
         reading = next(reference_readings(ref))
         next(self.cycle(ref, iso, reading))
-        beliefs, entropies, q = iso.states[0, 0]
+        beliefs, entropies, q, pf = iso.states[0, 0]
         want = sv.fault_belief(iso, {})
         assert beliefs == list(want.values())
         assert entropies == [sv.binary_entropy(p) for p in beliefs]
         assert q == sv.quality(want)
+        assert list(pf.items()) == list(want.items())
 
     def test_a_step_refreshes_only_the_moved_beliefs(self, tree21,
                                                      monkeypatch):
@@ -1043,9 +1062,9 @@ class TestFirstStepTable:
 
     @staticmethod
     def fields(rec):
-        """Every field but the four clocks."""
-        return rec.step, rec.sensor, rec.status, list(rec.pf.items()), \
-            rec.quality
+        """Every field but the four clocks, ``pf`` as its items in order."""
+        return rec._replace(pf=list(rec.pf.items()), elapsed_ms=0.0,
+                            detect_ms=0.0, select_ms=0.0, belief_ms=0.0)
 
     def check(self, bench, readings, tree_files):
         iso = network_copy(bench.iso)
@@ -1055,6 +1074,7 @@ class TestFirstStepTable:
                 cold = [self.fields(rec) for rec in sv.run_anytime_validation(
                     bench.net, bench.discretizer, network_copy(bench.iso),
                     tree, reading, self.CRITERION)]
+                stored = copy.deepcopy(iso.states)
                 warm = []
                 for rec in sv.run_anytime_validation(
                         bench.net, bench.discretizer, iso, tree, reading,
@@ -1064,10 +1084,11 @@ class TestFirstStepTable:
                         rec.pf[s] = 0.5
                     rec.pf["zz"] = 2.0
                 assert warm == cold
+                assert {key: iso.states[key] for key in stored} == stored
         n = len(iso.sensors)
         assert 2 < len(iso.states) <= 2 * n + 1
         fresh = network_copy(bench.iso)
-        for (faulty, correct), (post, entropies, q) in iso.states.items():
+        for (faulty, correct), (post, entropies, q, pf) in iso.states.items():
             assert not faulty & correct
             assert (faulty | correct).bit_count() <= 1
             want = isolation.noisy_or_root_posteriors(
@@ -1075,6 +1096,7 @@ class TestFirstStepTable:
             assert post == want
             assert entropies == [sv.binary_entropy(p) for p in want]
             assert q == sv.quality(dict(zip(iso.sensors, want)))
+            assert list(pf.items()) == list(zip(iso.sensors, want))
 
     def test_reference_readings(self, ref):
         self.check(ref, list(reference_readings(ref)),

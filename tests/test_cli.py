@@ -260,24 +260,14 @@ def test_bad_tree_is_an_input_error(tmp_path, capsys, command):
         assert not out.exists()
 
 
-@pytest.mark.parametrize("document", [
-    "[1, 2]", '{"sensor": "t"}', "{", "null",
-    '{"sensor": ["t"], "faulty": null, "ok": null}',
-    '{"sensor": 5, "faulty": null, "ok": null}',
-    '{"sensor": "t", "faulty": ' * 3000 + "null" + ', "ok": null}' * 3000])
-def test_malformed_tree_is_an_input_error(tmp_path, capsys, document):
+def test_null_tree_is_valid(tmp_path, capsys):
+    # the empty tree: every cycle ends before its first step
     path = tmp_path / "tree.json"
-    path.write_text(document)
+    path.write_text("null")
     rc = main(["validate", "--network", NET, "--discretizer", DISC,
                "--data", READINGS, "--tree", str(path),
                "--out", str(tmp_path / "out.txt")])
-    err = capsys.readouterr().err
-    if document == "null":
-        # the empty tree is valid: every cycle ends before its first step
-        assert rc == 0 and err == ""
-    else:
-        assert rc == 2
-        assert f"decision tree {path}" in err
+    assert rc == 0 and capsys.readouterr().err == ""
 
 
 def run_with_document(tmp_path, capsys, argv, document, what):
@@ -302,6 +292,24 @@ def deep(what):
         "[" * 100_000,
         f"error: {what} <path>: 'document' must be JSON (RecursionError(",
         id="deep-nesting")
+
+
+@pytest.mark.parametrize("document, part", [
+    ("[1, 2]", "not nested"), ('{"sensor": "t"}', "not nested"),
+    # not JSON: worded as the other documents are
+    ("", "'document' must be JSON (JSONDecodeError("),
+    ("{", "'document' must be JSON (JSONDecodeError("),
+    ('{"sensor": ["t"], "faulty": null, "ok": null}', "not nested"),
+    ('{"sensor": 5, "faulty": null, "ok": null}', "not nested"),
+    deep("decision tree")])
+def test_malformed_tree_is_an_input_error(tmp_path, capsys, document, part):
+    out = tmp_path / "out.txt"
+    rc, err = run_with_document(
+        tmp_path, capsys, ["validate", "--network", NET, "--discretizer", DISC,
+                           "--data", READINGS, "--out", str(out), "--tree"],
+        document, "decision tree")
+    assert rc == 2 and part in err and "runtime error" not in err
+    assert not out.exists()
 
 
 def reference_net_with(change) -> str:
@@ -357,6 +365,10 @@ def reference_net_with(change) -> str:
             doc["cpts"]["m"]["table"][0])),
         "CPT for 'm' has shape (2, 10), expected (1, 10)",
         id="cpt-shape"),
+    pytest.param(
+        reference_net_with(lambda doc: doc["cpts"]["m"].update(table=[
+            list(map(str, row)) for row in doc["cpts"]["m"]["table"]])),
+        "'cpts' must be", id="string-cpt-entries"),
     deep("network")])
 def test_malformed_network_is_an_input_error(tmp_path, capsys, document, part):
     rc, err = run_with_document(
@@ -383,12 +395,18 @@ def test_malformed_structure_is_an_input_error(tmp_path, capsys, document,
     assert not (tmp_path / "net.json").exists()
 
 
-def test_compile_tree_names_a_malformed_network(tmp_path, capsys):
+@pytest.mark.parametrize("document, part", [
+    ('{"variables": 5, "edges": [], "cpts": {}}', "'variables' must be"),
+    (reference_net_with(lambda doc: doc["cpts"]["m"].update(table=[
+        [str(p) for p in row] for row in doc["cpts"]["m"]["table"]])),
+     "'cpts' must be")])
+def test_compile_tree_names_a_malformed_network(tmp_path, capsys, document,
+                                                part):
     out = tmp_path / "tree.json"
     rc, err = run_with_document(
         tmp_path, capsys, ["compile-tree", "--out", str(out), "--network"],
-        '{"variables": 5, "edges": [], "cpts": {}}', "network")
-    assert rc == 2 and "'variables' must be" in err
+        document, "network")
+    assert rc == 2 and part in err
     assert not out.exists()
 
 
@@ -452,7 +470,8 @@ def test_huge_reading_is_validated(tmp_path, capsys):
                  id="huge-integer-bins"),
     pytest.param(json.dumps({"bins": 10, "bounds": {
         s: b for s, b in json.loads(Path(DISC).read_text())["bounds"].items()
-        if s != "t"}}), "error: discretizer <path>: missing sensors ['t']\n",
+        if s != "t"}}),
+        f"error: discretizer <path>: missing sensors ['t'] of network {NET}\n",
         id="missing-sensor"),
     deep("discretizer")])
 def test_malformed_discretizer_is_an_input_error(tmp_path, capsys, document,

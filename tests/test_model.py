@@ -226,6 +226,26 @@ class TestFileIO:
         with pytest.raises(sv.NetworkError, match="JSON"):
             sv.load_network("{nope")
 
+    @staticmethod
+    def one_root(table) -> str:
+        return json.dumps({
+            "variables": [{"name": "x", "states": ["a", "b"]}],
+            "edges": [],
+            "cpts": {"x": {"parents": [], "table": table}},
+        })
+
+    def test_integer_cpt_entries_load_as_floats(self):
+        table = sv.load_network(self.one_root([[1, 0.0]])).cpts["x"].table
+        assert table.dtype == float and table.tolist() == [[1.0, 0.0]]
+
+    @pytest.mark.parametrize("table", [
+        [["0.5", "0.5"]], [[True, False]], [[1, False]], [[None, 1.0]],
+        [[0.5], [0.5, 0.5]], "ab"])
+    def test_cpt_entries_that_are_not_numbers_are_refused(self, table):
+        with pytest.raises(sv.NetworkError, match="'cpts' must be .* is not "
+                                                  "a number"):
+            sv.load_network(self.one_root(table))
+
     def test_structure_round_trip(self):
         s = sv.reference_structure()
         again = sv.load_structure(sv.save_structure(s))
