@@ -361,17 +361,11 @@ def run_anytime_validation(
         step += 1
         done = clock()
         busy += done - resumed
-        yield StepRecord(
-            step=step,
-            sensor=sensor,
-            status=FAULTY if status.faulty else CORRECT,
-            pf=pf,
-            quality=q,
-            elapsed_ms=busy * 1000.0,
-            detect_ms=(detected - selected) * 1000.0,
-            select_ms=(selected - resumed) * 1000.0,
-            belief_ms=(done - detected) * 1000.0,
-        )
+        # positional fields, in StepRecord's order: half the cost of keywords
+        yield StepRecord(step, sensor, FAULTY if status.faulty else CORRECT,
+                         pf, q, busy * 1000.0, (detected - selected) * 1000.0,
+                         (selected - resumed) * 1000.0,
+                         (done - detected) * 1000.0)
         resumed = clock()
         if tree is not None:
             node = node.faulty if status.faulty else node.ok

@@ -75,13 +75,15 @@ def _refuse_overwrite(args, *outputs: str) -> None:
                              f"{path}")
 
 
-def _readings(text: str, sensors, rows: bool = False) -> harness.Dataset:
-    """The CSV in ``text``, with a column for every one of ``sensors`` and,
-    when ``rows``, at least one data row."""
+def _readings(text: str, sensors, source: str,
+              rows: bool = False) -> harness.Dataset:
+    """The CSV in ``text``, with a column for every one of ``sensors`` (of
+    ``source``, which the error names) and, when ``rows``, at least one
+    data row."""
     data = harness.Dataset.from_csv(text)
     missing = [s for s in sensors if s not in data.sensors]
     if missing:
-        raise ValueError(f"missing columns {missing}")
+        raise ValueError(f"missing columns {missing} of {source}")
     if rows and len(data) == 0:
         raise ValueError("no data rows")
     return data
@@ -125,8 +127,9 @@ def _load_inputs(args, what: str, rows: bool = False):
     iso = _build_isolation(net, args)
     tree = (_load(parse_tree, args.tree, "decision tree")
             if getattr(args, "tree", None) else None)
-    data = _load(lambda text: _readings(text, net.names(), rows), args.data,
-                 what)
+    data = _load(lambda text: _readings(text, net.names(),
+                                        f"network {args.network}", rows),
+                 args.data, what)
     flag = {"sigma": "k", "pvalue": "p", "tau": "tau"}[args.criterion]
     value = getattr(args, flag)
     try:
@@ -145,7 +148,8 @@ def cmd_learn(args) -> int:
     structure = _load(model.load_structure, args.structure, "structure")
 
     def fit(text):
-        data = _readings(text, structure.sensors, rows=True)
+        data = _readings(text, structure.sensors,
+                         f"structure {args.structure}", rows=True)
         return data, detection.fit_discretizer(data, structure.sensors,
                                                bins=args.bins)
 

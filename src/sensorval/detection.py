@@ -17,11 +17,12 @@ the table. Each kernel memoises the rule (``model.remember``) under the
 blanket state, the criterion and the sensor's bounds; a miss predicts
 afresh and builds the rule from that, so every memo value is complete
 when stored and a memoised verdict is a cold one. ``validate_sensor``
-codes the blanket of the reading it is given and takes the verdict from
-the kernel (``BlanketKernel.faulty``). Most blanket states repeat, so most
-verdicts are one bisection or one interval lookup. With 10 intervals an
-entry, its key and its share of the memo table included, takes about
-0.7 kB for a sigma or a tau rule and 0.8 kB for a pvalue rule.
+codes the blanket of the reading it is given in one loop
+(``Discretizer._codes``, which ``Discretizer.index`` shares) and takes the
+verdict from the kernel (``BlanketKernel.faulty``). Most blanket states
+repeat, so most verdicts are one bisection or one interval lookup. With
+10 intervals an entry, its key and its share of the memo table included,
+takes about 0.7 kB for a sigma or a tau rule and 0.8 kB for a pvalue rule.
 
 The link calibration builds no rule: it predicts the rows of all the
 links into one sensor in one call (``BlanketKernel.probabilities`` takes
@@ -81,18 +82,45 @@ class Discretizer:
                                        f"{[lo, hi]!r}")
             if not lo < hi:
                 raise DiscretizerError(f"zero-width range for sensor {s!r}")
-            # ``index`` scales by bins * (x - lo) / (hi - lo), in floats
+            # ``_codes`` scales by bins * (x - lo) / (hi - lo), in floats
             if not (self.bins <= sys.float_info.max
                     and math.isfinite(self.bins * (hi - lo))):
                 raise DiscretizerError(f"sensor {s!r} has a range {[lo, hi]!r} "
                                        f"too wide for {self.bins} intervals")
 
     def index(self, sensor: str, x: float) -> int:
-        """Interval index of x; out-of-range values, however large, clamp to
-        the edge intervals."""
-        lo, hi = self.bounds[sensor]
-        t = self.bins * (x - lo) / (hi - lo)
-        return int(min(max(t, 0.0), self.bins - 1.0))
+        """Interval index of x; out-of-range values, however large, and
+        infinite ones clamp to the edge intervals. A NaN raises ValueError."""
+        return self._codes((sensor,), {sensor: x})[0]
+
+    def _codes(self, sensors: Sequence[str], reading: Mapping[str, float],
+               blanket_of: str | None = None) -> tuple[int, ...]:
+        """``index`` of the reading of each of ``sensors``, in order, in one
+        loop: the whole part of bins * (x - lo) / (hi - lo), clamped to the
+        edge intervals by two comparisons, which cost less than ``min`` and
+        ``max`` calls. A NaN reading raises ValueError naming the sensor and
+        the value. With ``blanket_of`` given, the sensors are its Markov
+        blanket (the kernel's route): an infinite reading raises that
+        ValueError too, and a missing one KeyError, each naming
+        ``blanket_of``."""
+        bins, bounds = self.bins, self.bounds
+        top = bins - 1.0
+        codes = []
+        for s in sensors:
+            if s not in reading:        # never so for ``index``
+                raise KeyError(
+                    f"reading is missing blanket sensor {s!r} of {blanket_of!r}")
+            x = reading[s]
+            if not math.isfinite(x) and (blanket_of is not None or x != x):
+                raise ValueError(
+                    f"non-finite reading {x!r} of sensor {s!r}" + (
+                        "" if blanket_of is None else
+                        f" (in the Markov blanket of {blanket_of!r})"))
+            lo, hi = bounds[s]
+            t = bins * (x - lo) / (hi - lo)
+            # a NaN t would fail both comparisons into the top interval
+            codes.append(0 if t <= 0.0 else int(t) if t < top else bins - 1)
+        return tuple(codes)
 
     def _index_array(self, sensor: str, xs: np.ndarray) -> np.ndarray:
         """``index`` of every reading in ``xs``, for learning from columns,
@@ -317,21 +345,6 @@ class BlanketKernel:
         self.weights = weights
         self.memo: dict[tuple, Callable[[float], bool]] = {}
 
-    def codes(self, d: Discretizer, reading: Mapping[str, float]) -> tuple:
-        """Interval codes of the blanket readings, in ``blanket`` order."""
-        codes = []
-        for b in self.blanket:
-            if b not in reading:
-                raise KeyError(
-                    f"reading is missing blanket sensor {b!r} of {self.sensor!r}")
-            x = reading[b]
-            if not math.isfinite(x):
-                raise ValueError(
-                    f"non-finite reading {x!r} of sensor {b!r} "
-                    f"(in the Markov blanket of {self.sensor!r})")
-            codes.append(d.index(b, x))
-        return tuple(codes)
-
     def probabilities(self, net: BayesNet, codes) -> np.ndarray:
         """Normalized P(sensor | blanket) for each row of the blanket's
         interval ``codes`` (one row per blanket state, in ``blanket``
@@ -368,7 +381,8 @@ class BlanketKernel:
     def predict(self, net: BayesNet, d: Discretizer,
                 reading: Mapping[str, float]) -> np.ndarray:
         """Normalized P(sensor | blanket readings), as a new array."""
-        return self.probabilities(net, [self.codes(d, reading)])[0]
+        return self.probabilities(
+            net, [d._codes(self.blanket, reading, self.sensor)])[0]
 
     def faulty(self, net: BayesNet, d: Discretizer, codes: tuple, x: float,
                criterion: DetectionCriterion) -> bool:
@@ -421,5 +435,5 @@ def validate_sensor(net: BayesNet, d: Discretizer,
     if not math.isfinite(x):
         raise ValueError(f"non-finite reading {x!r} of sensor {sensor!r}")
     kernel = blanket_kernel(net, sensor, d.bins)
-    return ApparentStatus(
-        sensor, kernel.faulty(net, d, kernel.codes(d, reading), x, criterion))
+    codes = d._codes(kernel.blanket, reading, sensor)
+    return ApparentStatus(sensor, kernel.faulty(net, d, codes, x, criterion))

@@ -857,6 +857,40 @@ class TestRunAnytimeValidation:
         assert status == sv.ApparentStatus(status.sensor, status.faulty)
         assert status != sv.ApparentStatus(status.sensor, not status.faulty)
 
+    def test_positional_records_equal_keyword_ones(self, ref):
+        """The cycle builds its records positionally: each field equals the
+        one a record built with keywords holds, and holds what its name
+        says."""
+        crit = sv.DetectionCriterion("sigma", 3.0)
+        reading = ref.test.row(0)
+        tree = sv.compile_decision_tree(ref.iso)
+        for order in (None, tree):
+            records = list(sv.run_anytime_validation(
+                ref.net, ref.discretizer, ref.iso, order, reading, crit))
+            for i, rec in enumerate(records):
+                keyword = sv.StepRecord(
+                    step=rec.step, sensor=rec.sensor, status=rec.status,
+                    pf=rec.pf, quality=rec.quality, elapsed_ms=rec.elapsed_ms,
+                    detect_ms=rec.detect_ms, select_ms=rec.select_ms,
+                    belief_ms=rec.belief_ms)
+                for field in sv.StepRecord._fields:
+                    assert getattr(rec, field) is getattr(keyword, field)
+                assert rec == keyword
+                assert rec.step == i + 1
+                assert rec.status == sv.validate_sensor(
+                    ref.net, ref.discretizer, reading, rec.sensor,
+                    crit).status
+                assert rec.quality == anytime.quality(rec.pf)
+                assert set(rec.pf) == set(ref.iso.sensors)
+                if order is not None:
+                    assert rec.select_ms == 0.0
+                own = rec.detect_ms + rec.select_ms + rec.belief_ms
+                if i == 0:
+                    assert rec.elapsed_ms == pytest.approx(own, rel=1e-9)
+                else:
+                    assert rec.elapsed_ms == pytest.approx(
+                        records[i - 1].elapsed_ms + own, rel=1e-9)
+
 
 def reference_readings(ref):
     """The 440 readings of ``fixtures/reference_readings.csv``: each row,

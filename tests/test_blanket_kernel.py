@@ -6,9 +6,11 @@ enumeration (``brute_force_posterior``) within 1e-9, raise
 InconsistentEvidenceError on zero-probability blanket evidence, and refuse
 at build time a network whose states are not the interval codes. Many
 rows of codes predicted at once must equal each row predicted alone, byte
-for byte.
+for byte. The one-pass coding of a blanket must give every member the code
+that ``Discretizer.index`` and the min/max/int clamp give it.
 """
 
+import math
 import re
 
 import numpy as np
@@ -65,6 +67,22 @@ def unit_discretizer(names, bins):
 def reading_of(codes, bins):
     """Interval midpoints, so the discretizer gives back the codes."""
     return {v: (k + 0.5) / bins for v, k in codes.items()}
+
+
+def clamped_floor(bins, lo, hi, x):
+    """An interval code clamped by min, max and int calls."""
+    t = bins * (x - lo) / (hi - lo)
+    return int(min(max(t, 0.0), bins - 1.0))
+
+
+def awkward_readings(bins, lo, hi):
+    """Readings on and around the grid of (lo, hi): its bounds, every
+    interval edge, the floats next to the bounds, signed zeros, the
+    smallest subnormals and the largest magnitudes."""
+    edges = [lo + k * (hi - lo) / bins for k in range(bins + 1)]
+    return [lo, hi, *edges, math.nextafter(lo, -math.inf),
+            math.nextafter(hi, math.inf), 0.0, -0.0, 5e-324, -5e-324,
+            2.2250738585072014e-308, 1e308, -1e308, 1.7976931348623157e308]
 
 
 def blanket_evidence(net, codes, target):
@@ -176,3 +194,31 @@ class TestKernelProperties:
                 assert target not in net.blanket_kernels
             else:
                 sv.predict_distribution(net, d, reading, target)
+
+
+class TestBlanketCodes:
+    @settings(max_examples=100, deadline=None)
+    @given(blanket_nets(), st.data())
+    def test_one_pass_codes_equal_index(self, case, data):
+        names, edges, cpts, bins, _ = case
+        net = build(names, edges, cpts, bins)
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        bounds, reading = {}, {}
+        for v in names:
+            lo, hi = data.draw(st.tuples(finite, finite).filter(
+                lambda b: b[0] < b[1] and math.isfinite(bins * (b[1] - b[0]))))
+            bounds[v] = (lo, hi)
+            reading[v] = data.draw(st.one_of(
+                st.sampled_from(awkward_readings(bins, lo, hi)), finite))
+        d = Discretizer(bins, bounds)
+        for target in names:
+            kernel = blanket_kernel(net, target, bins)
+            codes = d._codes(kernel.blanket, reading, target)
+            assert all(type(code) is int for code in codes)
+            assert codes == tuple(d.index(b, reading[b])
+                                  for b in kernel.blanket)
+            assert codes == tuple(clamped_floor(bins, *bounds[b], reading[b])
+                                  for b in kernel.blanket)
+            assert list(codes) == [
+                int(d._index_array(b, np.array([reading[b]]))[0])
+                for b in kernel.blanket]

@@ -56,8 +56,8 @@ class TestLearn:
         rc = main(["learn", "--structure", str(structure), "--data", train_csv,
                    "--out", str(tmp_path / "net.json")])
         assert rc == 2
-        assert (f"error: training data {train_csv}: missing columns ['zz']\n"
-                == capsys.readouterr().err)
+        assert (f"error: training data {train_csv}: missing columns ['zz'] "
+                f"of structure {structure}\n" == capsys.readouterr().err)
 
     @pytest.mark.parametrize("bins, constant, message", [
         ("1", False, "error: --bins must be at least 2\n"),
@@ -178,8 +178,8 @@ class TestValidate:
         rc = main(["validate", "--network", NET, "--discretizer", DISC,
                    "--data", str(data)])
         assert rc == 2
-        assert (f"error: readings {data}: missing columns ['t']\n"
-                == capsys.readouterr().err)
+        assert (f"error: readings {data}: missing columns ['t'] of network "
+                f"{NET}\n" == capsys.readouterr().err)
 
     def test_consumer_may_stop_reading(self, tmp_path):
         """A consumer that reads the first step and closes the stream leaves
@@ -503,6 +503,25 @@ def test_states_the_discretizer_cannot_code_are_refused_before_any_output(
         f"error: discretizer {DISC}: network {network}: variable 'p' has "
         "states")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, what", [
+    ("validate", "readings"), ("simulate", "test data"),
+    ("compare", "test data")])
+def test_a_sensor_the_readings_lack_is_named_with_the_network(
+        tmp_path, capsys, command, what):
+    """A network and a discretizer that both rename 'g' to 'zz' agree with
+    each other, not with the readings: the error names the network too."""
+    network, disc = tmp_path / "net.json", tmp_path / "net.disc.json"
+    network.write_text(Path(NET).read_text().replace('"g"', '"zz"'))
+    disc.write_text(Path(DISC).read_text().replace('"g"', '"zz"'))
+    out = tmp_path / "out.txt"
+    rc = main([command, "--network", str(network), "--discretizer", str(disc),
+               "--data", READINGS, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == "" and not out.exists()
+    assert captured.err == (f"error: {what} {READINGS}: missing columns "
+                            f"['zz'] of network {network}\n")
 
 
 @pytest.mark.parametrize("document, message", [

@@ -48,6 +48,14 @@ class TestDiscretizer:
         codes = d._index_array("s", np.array([x, 5.0, x]))
         assert codes.tolist() == [code, 5, code]
 
+    def test_index_refuses_nan(self):
+        d = make_disc()
+        for nan in (math.nan, np.float64("nan")):
+            with pytest.raises(ValueError) as exc:
+                d.index("s", nan)
+            assert str(exc.value) == (
+                f"non-finite reading {nan!r} of sensor 's'")
+
     def test_index_array_matches_index(self):
         d = make_disc(lo=-1.3, hi=2.9, bins=7)
         xs = np.linspace(-3.0, 4.0, 701)
@@ -305,6 +313,27 @@ class TestNonFiniteReadings:
             sv.validate_sensor(ref.net, ref.discretizer, reading, "m", criterion)
         # refused before the memo, which holds the clean blanket, is read
         assert spy.lookups == 0
+
+
+    def test_blanket_messages_are_unchanged(self, ref):
+        """The one-pass coding refuses a missing or non-finite blanket
+        reading with the kernel's own words, on both of its routes."""
+        d, crit = ref.discretizer, sv.DetectionCriterion("sigma", 3.0)
+        reading = ref.test.row(10)
+        missing = {s: x for s, x in reading.items() if s != "t"}
+        for call in (
+                lambda r: sv.validate_sensor(ref.net, d, r, "m", crit),
+                lambda r: sv.predict_distribution(ref.net, d, r, "m")):
+            with pytest.raises(KeyError) as exc:
+                call(missing)
+            assert exc.value.args == (
+                "reading is missing blanket sensor 't' of 'm'",)
+            for value in (math.nan, math.inf, -math.inf):
+                with pytest.raises(ValueError) as exc:
+                    call(dict(reading, t=value))
+                assert str(exc.value) == (
+                    f"non-finite reading {value!r} of sensor 't' "
+                    "(in the Markov blanket of 'm')")
 
 
 class LookupSpy(dict):
