@@ -4,13 +4,14 @@ Validation steps stream as JSON lines flushed per step, so a consumer can
 act on partial results at any moment. All randomness flows from --seed.
 Exit codes: 0 success, 2 input error, 1 runtime error. ``_load`` reads,
 parses and checks every input file: an unreadable file, a malformed
-document or CSV, a discretizer that cannot code the network (the error
-names both files) or a tree that does not fit it raises an InputError
-that starts with the file; a bad option value, one that starts with the
-option. Any other exception, a KeyError or ValueError included, is a
-runtime error. An output path that names an input is refused before any
-read; every input is checked (``learn`` fits its discretizer) before an
-output opens, and outputs open before the work, so a bad one costs none.
+document (``model``'s typed readers fix the JSON type of each part) or
+CSV, a discretizer that cannot code the network (the error names both
+files) or a tree that does not fit it raises an InputError that starts
+with the file; a bad option value, one that starts with the option. Any
+other exception, a KeyError or ValueError included, is a runtime error.
+An output path that names an input is refused before any read; every
+input is checked (``learn`` fits its discretizer) before an output
+opens, and outputs open before the work, so a bad one costs none.
 """
 
 from __future__ import annotations

@@ -48,7 +48,7 @@ import numpy as np
 
 from .inference import (_EVIDENCE_EPS, Distribution,
                         InconsistentEvidenceError, posterior_marginal)
-from .model import (BayesNet, _number, json_object, malformed_part,
+from .model import (BayesNet, _number, _pair, json_object, malformed_part,
                     markov_blanket, remember)
 
 if TYPE_CHECKING:
@@ -160,7 +160,7 @@ def discretizer_from_json(document: str) -> Discretizer:
     with malformed_part(DiscretizerError, "bins", "an integer"):
         bins = doc["bins"]
     with malformed_part(DiscretizerError, "bounds", "{sensor: [lower, upper]}"):
-        bounds = {s: (_number(lo), _number(hi)) for s, (lo, hi) in doc["bounds"].items()}
+        bounds = {s: _pair(b, _number) for s, b in doc["bounds"].items()}
     return Discretizer(bins, bounds)
 
 

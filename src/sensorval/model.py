@@ -318,6 +318,20 @@ def _number(value) -> float:
     return float(value)
 
 
+def _list(value, read=_name) -> list:
+    """``read`` of each item of ``value`` if it is a JSON array, not a
+    string or an object; read inside ``malformed_part``."""
+    if not isinstance(value, list):
+        raise TypeError(f"{value!r} is not an array")
+    return [read(x) for x in value]
+
+
+def _pair(value, read=_name) -> tuple:
+    """``_list`` of ``value`` if it has two items: an edge or a bound."""
+    first, second = _list(value, read)
+    return first, second
+
+
 def _numbers(value) -> np.ndarray:
     """``value``, nested lists of JSON numbers, as a float array; read
     inside ``malformed_part``."""
@@ -331,13 +345,12 @@ def load_network(document: str) -> BayesNet:
     """Parse a network JSON document; raises NetworkError subclasses on defects."""
     doc = json_object(document, NetworkError)
     with malformed_part(NetworkError, "variables", "a list of {name, states}"):
-        variables = [Variable(_name(v["name"]), tuple(map(_name, v["states"])))
-                     for v in doc["variables"]]
+        variables = _list(doc["variables"], lambda v: Variable(
+            _name(v["name"]), _list(v["states"])))
     with malformed_part(NetworkError, "edges", "a list of [parent, child]"):
-        edges = [(_name(p), _name(c)) for p, c in doc["edges"]]
+        edges = _list(doc["edges"], _pair)
     with malformed_part(NetworkError, "cpts", "{child: {parents, table}}"):
-        cpts = {c: Cpt(c, tuple(map(_name, e["parents"])),
-                       _numbers(e["table"]))
+        cpts = {c: Cpt(c, _list(e["parents"]), _numbers(e["table"]))
                 for c, e in doc["cpts"].items()}
     return BayesNet(variables, edges, cpts)
 
@@ -353,9 +366,10 @@ def save_structure(structure: NetworkStructure) -> str:
 
 def load_structure(document: str) -> NetworkStructure:
     doc = json_object(document, NetworkError)
+    with malformed_part(NetworkError, "name", "a string"):
+        name = _name(doc.get("name", "structure"))
     with malformed_part(NetworkError, "variables", "a list of names"):
-        sensors = tuple(_name(v["name"] if isinstance(v, dict) else v)
-                        for v in doc["variables"])
+        sensors = _list(doc["variables"])
     with malformed_part(NetworkError, "edges", "a list of [parent, child]"):
-        edges = tuple((_name(p), _name(c)) for p, c in doc["edges"])
-    return NetworkStructure(doc.get("name", "structure"), sensors, edges)
+        edges = _list(doc["edges"], _pair)
+    return NetworkStructure(name, sensors, edges)

@@ -1,3 +1,4 @@
+import json
 import tempfile
 from pathlib import Path
 
@@ -46,6 +47,51 @@ WORKED_EXAMPLE_ROWS = [
     (("a", "correct"), {"m": 0.009, "t": 0.0, "p": 0.009, "g": 0.999, "a": 0.009}),
     (("p", "correct"), {"m": 0.0, "t": 0.0, "p": 0.0, "g": 0.999, "a": 0.009}),
 ]
+
+
+def fixture_with(name: str, change) -> str:
+    """The fixture document ``name`` after ``change`` edits it in place."""
+    doc = json.loads((FIXTURES / name).read_text())
+    change(doc)
+    return json.dumps(doc)
+
+
+# Documents that give a list as a string or an object, or the structure's
+# name as an object, each with the part its error must name. A loader that
+# walked them would read a string as its characters, an object as its keys.
+WRONGLY_TYPED_STRUCTURES = {
+    "edges-empty-string": (fixture_with(
+        "reference_structure.json", lambda d: d.update(edges="")), "'edges'"),
+    "edges-object": (fixture_with(
+        "reference_structure.json", lambda d: d.update(edges={})), "'edges'"),
+    "edges-two-letter-strings": (fixture_with(
+        "reference_structure.json",
+        lambda d: d.update(edges=["mt", "mp", "tg", "ta"])), "'edges'"),
+    "variables-string": (fixture_with(
+        "reference_structure.json", lambda d: d.update(variables="agmpt")),
+        "'variables'"),
+    "variables-name-objects": (fixture_with(
+        "reference_structure.json", lambda d: d.update(
+            variables=[{"name": v} for v in d["variables"]])), "'variables'"),
+    "name-object": (fixture_with(
+        "reference_structure.json", lambda d: d.update(name={"x": 1})),
+        "'name'"),
+}
+WRONGLY_TYPED_NETWORKS = {
+    "states-string": (fixture_with(
+        "reference_net.json",
+        lambda d: d["variables"][0].update(states="0123456789")),
+        "'variables'"),
+    "edges-two-letter-strings": (fixture_with(
+        "reference_net.json", lambda d: d.update(
+            edges=[p + c for p, c in d["edges"]])), "'edges'"),
+    "parents-string": (fixture_with(
+        "reference_net.json",
+        lambda d: d["cpts"]["t"].update(parents="m")), "'cpts'"),
+    "root-parents-object": (fixture_with(
+        "reference_net.json",
+        lambda d: d["cpts"]["m"].update(parents={})), "'cpts'"),
+}
 
 
 @pytest.fixture(scope="session")

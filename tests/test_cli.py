@@ -11,7 +11,8 @@ import pytest
 import sensorval as sv
 from sensorval import anytime, benchmarks
 from sensorval.cli import main
-from conftest import FIXTURES
+from conftest import (FIXTURES, WRONGLY_TYPED_NETWORKS,
+                      WRONGLY_TYPED_STRUCTURES, fixture_with)
 
 
 NET = str(FIXTURES / "reference_net.json")
@@ -314,9 +315,7 @@ def test_malformed_tree_is_an_input_error(tmp_path, capsys, document, part):
 
 def reference_net_with(change) -> str:
     """The reference network document after ``change`` edits it in place."""
-    doc = json.loads(Path(NET).read_text())
-    change(doc)
-    return json.dumps(doc)
+    return fixture_with("reference_net.json", change)
 
 
 @pytest.mark.parametrize("document, part", [
@@ -369,6 +368,8 @@ def reference_net_with(change) -> str:
         reference_net_with(lambda doc: doc["cpts"]["m"].update(table=[
             list(map(str, row)) for row in doc["cpts"]["m"]["table"]])),
         "'cpts' must be", id="string-cpt-entries"),
+    *[pytest.param(document, part, id=key)
+      for key, (document, part) in WRONGLY_TYPED_NETWORKS.items()],
     deep("network")])
 def test_malformed_network_is_an_input_error(tmp_path, capsys, document, part):
     rc, err = run_with_document(
@@ -384,6 +385,8 @@ def test_malformed_network_is_an_input_error(tmp_path, capsys, document, part):
     ('{"variables": [["a"]], "edges": []}', "'variables'"),
     ('{"variables": ["a", "g"], "edges": [["a", "g"], ["a", "g"]]}',
      "edge 'a' -> 'g' is listed twice"),
+    *[pytest.param(document, part, id=key)
+      for key, (document, part) in WRONGLY_TYPED_STRUCTURES.items()],
     deep("structure")])
 def test_malformed_structure_is_an_input_error(tmp_path, capsys, document,
                                                part):
@@ -462,6 +465,7 @@ def test_huge_reading_is_validated(tmp_path, capsys):
     ('{"bins": 10, "bounds": {"a": {"0": 7, "2": 8}}}', "'bounds'"),
     ('{"bins": 10, "bounds": {"a": [false, true]}}', "'bounds'"),
     ('{"bins": 10, "bounds": {"a": ["0", "1e1"]}}', "'bounds'"),
+    ('{"bins": 10, "bounds": {"a": [0, 1, 2]}}', "'bounds'"),
     # integers too large for a float
     pytest.param('{"bins": 10, "bounds": {"a": [0, 1%s]}}' % ("0" * 400),
                  "'bounds'", id="huge-integer-bound"),

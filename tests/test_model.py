@@ -5,7 +5,8 @@ import pytest
 
 import sensorval as sv
 from sensorval import model
-from conftest import FIXTURES, REFERENCE_EMB, random_binary_net
+from conftest import (FIXTURES, REFERENCE_EMB, WRONGLY_TYPED_NETWORKS,
+                      WRONGLY_TYPED_STRUCTURES, random_binary_net)
 
 
 def tiny_net(edges, names=None):
@@ -245,6 +246,16 @@ class TestFileIO:
         with pytest.raises(sv.NetworkError, match="'cpts' must be .* is not "
                                                   "a number"):
             sv.load_network(self.one_root(table))
+
+    @pytest.mark.parametrize("load, document, part", [
+        pytest.param(load, document, part, id=f"{load.__name__}-{key}")
+        for load, cases in ((sv.load_structure, WRONGLY_TYPED_STRUCTURES),
+                            (sv.load_network, WRONGLY_TYPED_NETWORKS))
+        for key, (document, part) in cases.items()])
+    def test_a_wrongly_typed_part_is_refused(self, load, document, part):
+        # a string is not read as its characters, an object not as its keys
+        with pytest.raises(sv.NetworkError, match=f"^{part} must be "):
+            load(document)
 
     def test_structure_round_trip(self):
         s = sv.reference_structure()
